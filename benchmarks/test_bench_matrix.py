@@ -6,12 +6,13 @@ Two CI-facing guarantees live here:
   dataset × sampler × workers grid end-to-end and serialises ONE
   schema-versioned ``BENCH_matrix.json`` (path overridable via
   ``REPRO_BENCH_MATRIX_OUTPUT``) — the artifact CI uploads,
-* every baseline that gained a :class:`~repro.training.ParallelLossSpec`
-  in the universal-parallelism refactor trains **bit-identically** through
-  the spec path at one worker vs its frozen serial closure.  Each check
-  prints a greppable line::
+* every baseline whose :class:`~repro.training.ParallelLossSpec` replaced
+  a single-process closure trains **bit-identically** through the spec path
+  at one worker vs that closure, frozen in ``tests/frozen_training_loops.py``
+  (parameters including the adversary, train and validation curves, and
+  the random stream).  Each check prints a greppable line::
 
-      bit-identity (frozen serial loop vs ParallelLossSpec num_workers=1) [OmniAnomaly]: OK
+      bit-identity (frozen closure loop vs ParallelLossSpec num_workers=1) [OmniAnomaly]: OK
 
   which the CI job asserts on (run pytest with ``-s``).
 
@@ -33,13 +34,14 @@ from repro.evaluation import (
     run_bench_matrix,
     write_bench_matrix,
 )
+from tests.frozen_training_loops import all_parameters, legacy_fit
 
 MATRIX_SCALE = float(os.environ.get("REPRO_BENCH_MATRIX_SCALE", "0.04"))
 OUTPUT = os.environ.get("REPRO_BENCH_MATRIX_OUTPUT", "BENCH_matrix.json")
 
-#: The baselines newly factored onto the spec path by this refactor; the
-#: other spec baselines (LSTM-AD, MSCRED, MTAD-GAT, TranAD) are covered by
-#: the unit suite.
+#: The baselines whose spec replaced a single-process closure; the other
+#: spec baselines (LSTM-AD, MSCRED, MTAD-GAT, TranAD) are covered by the
+#: unit suite.
 NEWLY_PARALLEL = ["OmniAnomaly", "InterFusion", "MAD-GAN", "BeatGAN", "GDN"]
 
 
@@ -94,19 +96,29 @@ class TestSpecBitIdentity:
         train = load_dataset("GCP", seed=0, scale=0.04).train
         print()
         for name in NEWLY_PARALLEL:
-            serial = bench_detector_factory(name, 0).fit(train)
-            spec = bench_detector_factory(name, 0)
-            spec._force_parallel_spec = True
-            spec.fit(train)
-
-            parameters = list(zip(serial._trainer_parameters(),
-                                  spec._trainer_parameters()))
-            if getattr(type(serial), "_adversary_loss_method", None) is not None:
-                parameters += list(zip(serial._adversary_parameters(),
-                                       spec._adversary_parameters()))
+            frozen = legacy_fit(bench_detector_factory(name, 0), train)
+            spec = bench_detector_factory(name, 0).fit(train)
             identical = (
-                all(np.array_equal(b.data, a.data) for a, b in parameters)
-                and spec.train_losses == serial.train_losses)
-            print("bit-identity (frozen serial loop vs ParallelLossSpec "
+                all(np.array_equal(b.data, a.data) for a, b in
+                    zip(all_parameters(frozen), all_parameters(spec)))
+                and spec.train_losses == frozen.train_losses
+                and (spec.rng.bit_generator.state
+                     == frozen.rng.bit_generator.state))
+            print("bit-identity (frozen closure loop vs ParallelLossSpec "
                   f"num_workers=1) [{name}]: {'OK' if identical else 'FAIL'}")
             assert identical, name
+
+    def test_validation_curve_bit_identical_at_one_worker(self):
+        train = load_dataset("GCP", seed=0, scale=0.04).train
+        for name in NEWLY_PARALLEL:
+            frozen = bench_detector_factory(name, 0)
+            spec = bench_detector_factory(name, 0)
+            for detector in (frozen, spec):
+                detector.validation_fraction = 0.25
+            legacy_fit(frozen, train)
+            spec.fit(train)
+            assert spec.val_losses, name
+            assert spec.val_losses == frozen.val_losses, name
+            assert spec.train_losses == frozen.train_losses, name
+            for a, b in zip(all_parameters(frozen), all_parameters(spec)):
+                assert np.array_equal(b.data, a.data), name

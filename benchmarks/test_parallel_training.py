@@ -2,11 +2,12 @@
 
 Two properties of the data-parallel engine are validated and recorded:
 
-* **bit-identity** — a :class:`~repro.training.ParallelTrainer` at
-  ``num_workers=1`` must reproduce a serial :class:`~repro.training.Trainer`
-  run bit for bit (same parameters, same loss curve): the draw/compute
-  factoring of the loss spec is a pure refactor of the serial closure.  CI
-  greps the ``bit-identity`` line this test prints.
+* **bit-identity** — a :class:`~repro.training.Trainer` at
+  ``num_workers=1`` must reproduce a hand-rolled loop over the frozen
+  pre-spec loss closure bit for bit (same parameters, same loss curve, same
+  random stream): the draw/compute factoring of the loss spec is a pure
+  refactor of that closure.  CI greps the ``bit-identity`` line this test
+  prints.
 * **speedup** — an end-to-end ``ImDiffusionDetector.fit`` sharded across
   spawned gradient workers must beat the serial fit wall-clock (target
   1.5x at 4 workers; the gate adapts to the machine's core count, because a
@@ -32,7 +33,8 @@ from repro.core.detector import ImputationLossSpec
 from repro.diffusion import GaussianDiffusion, ImputedDiffusion, make_schedule
 from repro.models import ImTransformer
 from repro.nn import Adam
-from repro.training import ParallelTrainer, Trainer, WindowLoader
+from repro.training import Trainer, WindowLoader
+from tests.frozen_training_loops import hand_rolled_fit
 
 from ._helpers import print_header, run_once
 
@@ -84,10 +86,10 @@ def _imputation_stack(seed: int):
 
 
 def test_single_worker_bit_identity(benchmark):
-    """ParallelTrainer(num_workers=1) must equal the serial Trainer bitwise."""
+    """Trainer(spec, num_workers=1) must equal the frozen closure loop bitwise."""
 
     def run():
-        # --- serial engine: the pre-parallel loss closure -------------------
+        # --- frozen reference: hand-rolled loop over the pre-spec closure ---
         rng_a, imputer_a, masks_arr, windows = _imputation_stack(0)
         num_policies = masks_arr.shape[0]
 
@@ -97,41 +99,41 @@ def test_single_worker_bit_identity(benchmark):
                                            policies, rng_a)
 
         params_a = imputer_a.model.parameters()
-        serial = Trainer(params_a, Adam(params_a, lr=1e-3), legacy_loss,
-                         grad_clip=5.0, rng=rng_a)
-        serial.fit(WindowLoader(windows, batch_size=8, rng=rng_a), epochs=3)
+        legacy_losses, _ = hand_rolled_fit(
+            params_a, Adam(params_a, lr=1e-3), legacy_loss,
+            WindowLoader(windows, batch_size=8, rng=rng_a), 3, grad_clip=5.0)
 
-        # --- parallel engine at one worker: draw/compute spec ---------------
+        # --- the engine at one worker: draw/compute spec --------------------
         rng_b, imputer_b, _, _ = _imputation_stack(0)
         spec = ImputationLossSpec(imputer_b, masks_arr)
         params_b = imputer_b.model.parameters()
-        parallel = ParallelTrainer(params_b, Adam(params_b, lr=1e-3), spec,
-                                   num_workers=1, grad_clip=5.0, rng=rng_b)
-        parallel.fit(WindowLoader(windows, batch_size=8, rng=rng_b), epochs=3)
-        return serial, parallel
+        trainer = Trainer(params_b, Adam(params_b, lr=1e-3), spec,
+                          num_workers=1, grad_clip=5.0, rng=rng_b)
+        trainer.fit(WindowLoader(windows, batch_size=8, rng=rng_b), epochs=3)
+        return params_a, legacy_losses, rng_a, trainer
 
-    serial, parallel = run_once(benchmark, run)
+    params_a, legacy_losses, rng_a, trainer = run_once(benchmark, run)
 
-    print_header("Parallel training: serial Trainer vs ParallelTrainer(num_workers=1)")
+    print_header("Parallel training: frozen closure loop vs Trainer(num_workers=1)")
     identical = (
         all(np.array_equal(a.data, b.data)
-            for a, b in zip(serial.parameters, parallel.parameters))
-        and serial.state.epoch_losses == parallel.state.epoch_losses
-        and serial.rng.bit_generator.state == parallel.rng.bit_generator.state
+            for a, b in zip(params_a, trainer.parameters))
+        and legacy_losses == trainer.state.epoch_losses
+        and rng_a.bit_generator.state == trainer.rng.bit_generator.state
     )
-    print(f"serial losses  : {[f'{loss:.12f}' for loss in serial.state.epoch_losses]}")
-    print(f"parallel losses: {[f'{loss:.12f}' for loss in parallel.state.epoch_losses]}")
-    print("bit-identity (serial Trainer vs ParallelTrainer num_workers=1): "
+    print(f"frozen losses : {[f'{loss:.12f}' for loss in legacy_losses]}")
+    print(f"trainer losses: {[f'{loss:.12f}' for loss in trainer.state.epoch_losses]}")
+    print("bit-identity (frozen closure loop vs Trainer num_workers=1): "
           + ("OK" if identical else "FAILED"))
 
     _record({
         "benchmark": "parallel_bit_identity",
         "epochs": 3,
         "bit_identical": bool(identical),
-        "final_loss": serial.state.epoch_losses[-1],
+        "final_loss": legacy_losses[-1],
     })
     assert identical, (
-        "ParallelTrainer at num_workers=1 diverged from the serial Trainer"
+        "Trainer at num_workers=1 diverged from the frozen closure loop"
     )
 
 

@@ -29,7 +29,7 @@ from ..training import (
     AdversarialMethodLossSpec,
     EarlyStopping,
     MethodLossSpec,
-    ParallelTrainer,
+    ParallelLossSpec,
     Trainer,
     TrainResult,
     WindowLoader,
@@ -74,31 +74,29 @@ class BaseDetector(ABC):
     num_workers:
         Data-parallel training: shard every batch across this many spawned
         gradient workers and average their gradients before the single
-        optimizer step.  1 (the default) trains in-process.  Only detectors
-        whose loss is spawn-safe (pure, picklable, rng-free) support more
-        than one worker; the others raise at fit time.
+        optimizer step.  1 (the default) trains in-process.
     """
 
     name: str = "Base"
 
     #: Whether EarlyStopping may roll the trained parameters back to the best
-    #: epoch.  Adversarial detectors set this False: only the generator runs
-    #: through the Trainer, so restoring it would desynchronise it from the
-    #: discriminator (which keeps stepping inside the loss function).
+    #: epoch.  Adversarial detectors set this False: only the generator's
+    #: parameters are the Trainer's, so restoring them would desynchronise
+    #: the generator from the discriminator (which the spec's adversary
+    #: step keeps updating).
     _restore_best_weights: bool = True
 
-    #: Declarative data-parallel capability flag.  A class sets this True
-    #: when its training loss is factored as a :class:`ParallelLossSpec`
-    #: (picklable methods, parent-side randomness); ``num_workers > 1`` is
-    #: rejected otherwise with :attr:`parallel_unsupported_reason`.
+    #: Declarative capability flag.  A class sets this True when its
+    #: training loss is factored as a :class:`ParallelLossSpec` (picklable
+    #: methods, parent-side randomness); training is rejected otherwise
+    #: with :attr:`parallel_unsupported_reason`.
     supports_parallel: bool = False
 
-    #: The class-specific reason shown when ``num_workers > 1`` is rejected.
-    #: Subclasses that stay serial state their real constraint here.
+    #: The class-specific reason shown when training is rejected.
     parallel_unsupported_reason: str = \
         "its training loss is not factored as a ParallelLossSpec"
 
-    #: Name of the picklable loss *method* used for data-parallel training.
+    #: Name of the picklable loss *method* every fit trains through.
     #: Takes ``(batch, state)``, or ``(batch, payload, state)`` when a
     #: ``_parallel_draw_method`` is set.
     _parallel_loss_method: Optional[str] = None
@@ -113,11 +111,6 @@ class BaseDetector(ABC):
     #: ``_adversary_parameters()`` and the ``_discriminator_opt`` attribute
     #: for the parent-side adversary step.
     _adversary_loss_method: Optional[str] = None
-
-    #: Test/bench knob: route ``num_workers=1`` through the spec path
-    #: (``ParallelTrainer`` + ``SpecReducer``) instead of the frozen serial
-    #: closure, to exercise the bit-identity contract between the two.
-    _force_parallel_spec: bool = False
 
     def __init__(self, threshold_percentile: float = 97.0, use_pot: bool = False,
                  seed: int = 0,
@@ -204,64 +197,48 @@ class BaseDetector(ABC):
     # ------------------------------------------------------------------
     # Shared training engine hook
     # ------------------------------------------------------------------
-    def _run_trainer(self, parameters: Sequence, loss_fn: Callable,
-                     arrays: Sequence[np.ndarray], *, epochs: int,
-                     batch_size: int, learning_rate: float,
-                     grad_clip: Optional[float] = 5.0,
-                     optimizer=None, callbacks: Sequence = (),
-                     val_loss_fn: Optional[Callable] = None) -> TrainResult:
-        """Train through the shared :class:`repro.training.Trainer`.
+    def _run_trainer(self, arrays: Sequence[np.ndarray], *, epochs: int,
+                     batch_size: int, learning_rate: float) -> TrainResult:
+        """Train :meth:`_trainer_parameters` through :meth:`_parallel_spec`.
 
         Every baseline funnels its epoch loop through here: ``arrays`` are
         the aligned sample arrays (windows, or histories + targets) batched
         by a vectorized :class:`~repro.training.WindowLoader` driven by the
-        detector's own ``rng``, and ``loss_fn(batch, state)`` computes the
-        per-batch loss.  The detector-level ``early_stopping_patience``
-        plugs in an :class:`~repro.training.EarlyStopping` callback; the
-        resulting loss curve lands in ``self.train_losses``.
+        detector's own ``rng``, and the detector's loss spec computes each
+        batch loss — in-process at ``num_workers=1``, sharded across spawned
+        gradient workers above it.  The detector-level
+        ``early_stopping_patience`` plugs in an
+        :class:`~repro.training.EarlyStopping` callback; the resulting loss
+        curve lands in ``self.train_losses``.
 
         With ``validation_fraction > 0`` the arrays are deterministically
         split first and the held-out part is scored grad-free at every epoch
         end (curve in ``self.val_losses``); early stopping then monitors the
-        held-out loss.  ``val_loss_fn`` overrides the loss used for that
-        pass — required whenever ``loss_fn`` has training side effects, like
-        the GAN baselines stepping their discriminator inside the closure.
+        held-out loss.
         """
+        spec = self._parallel_spec()
+        if spec is None:
+            raise ValueError(f"{self.name} cannot be trained: "
+                             f"{self.parallel_unsupported_reason}")
         arrays, val_arrays = split_windows(
             tuple(arrays), self.validation_fraction, self.rng,
             split=self.validation_split)
         loader = WindowLoader(*arrays, batch_size=batch_size, rng=self.rng)
         validate_fn = None
         if val_arrays is not None:
-            validate_fn = self._make_validate_fn(
-                val_arrays, batch_size, val_loss_fn or loss_fn)
-        if optimizer is None:
-            optimizer = Adam(parameters, lr=learning_rate)
-        # Detector-derived callbacks run before caller-supplied ones (the
-        # same order ImDiffusionDetector.fit uses), so a trailing Checkpoint
-        # always snapshots the post-restore weights.
-        engine_callbacks = []
+            validate_fn = self._make_validate_fn(val_arrays, batch_size, spec)
+        parameters = self._trainer_parameters()
+        callbacks = []
         if self.early_stopping_patience is not None:
-            engine_callbacks.append(EarlyStopping(
+            callbacks.append(EarlyStopping(
                 patience=self.early_stopping_patience,
                 min_delta=self.early_stopping_min_delta,
                 restore_best=self._restore_best_weights,
             ))
-        common = dict(grad_clip=grad_clip,
-                      callbacks=engine_callbacks + list(callbacks),
-                      rng=self.rng, validate_fn=validate_fn)
-        if self.num_workers != 1 or self._force_parallel_spec:
-            spec = self._parallel_spec()
-            if spec is None:
-                raise ValueError(
-                    f"{self.name} does not support num_workers > 1: "
-                    f"{self.parallel_unsupported_reason}.  "
-                    "Train with num_workers=1."
-                )
-            trainer = ParallelTrainer(parameters, optimizer, spec,
-                                      num_workers=self.num_workers, **common)
-        else:
-            trainer = Trainer(parameters, optimizer, loss_fn, **common)
+        trainer = Trainer(parameters, Adam(parameters, lr=learning_rate), spec,
+                          num_workers=self.num_workers, grad_clip=5.0,
+                          callbacks=callbacks, rng=self.rng,
+                          validate_fn=validate_fn)
         result = trainer.fit(loader, epochs=epochs)
         self.train_losses = list(result.epoch_losses)
         self.val_losses = list(result.val_losses)
@@ -269,17 +246,18 @@ class BaseDetector(ABC):
         return result
 
     def _parallel_spec(self) -> Optional[MethodLossSpec]:
-        """The data-parallel loss spec of this detector, or ``None``.
+        """The training loss spec of this detector, or ``None``.
 
         Detectors opt in by setting :attr:`supports_parallel` and exposing
         their loss as a picklable *method* (named by
-        ``_parallel_loss_method``) plus :meth:`_trainer_parameters`; the spec
-        then ships the whole detector to each spawned worker once, and every
-        batch is computed shard-wise with shard-size weighting (exact for
-        the per-sample mean losses the baselines use).  Stochastic losses
-        name a ``_parallel_draw_method`` so their randomness is drawn in the
-        parent; GAN-style detectors name an ``_adversary_loss_method`` so
-        the discriminator updates through the adversary-gradient reduction.
+        ``_parallel_loss_method``) plus :meth:`_trainer_parameters`; with
+        more than one worker the spec ships the whole detector to each
+        spawned worker once, and every batch is computed shard-wise with
+        shard-size weighting (exact for the per-sample mean losses the
+        baselines use).  Stochastic losses name a ``_parallel_draw_method``
+        so their randomness is drawn in the parent; GAN-style detectors name
+        an ``_adversary_loss_method`` so the discriminator updates through
+        the adversary-gradient reduction.
         """
         if not self.supports_parallel or self._parallel_loss_method is None:
             return None
@@ -292,44 +270,48 @@ class BaseDetector(ABC):
                               draw_method=self._parallel_draw_method)
 
     def _trainer_parameters(self) -> List:
-        """The trainable parameters, in the order given to ``_run_trainer``.
+        """The trainable parameters :meth:`_run_trainer` optimizes.
 
-        Parallel-capable baselines override this; worker replicas rebuild
-        their parameter list through it, so the order must match the parent's
+        Trainable baselines override this; worker replicas rebuild their
+        parameter list through it, so the order must match the parent's
         exactly.
         """
         raise NotImplementedError(
-            f"{self.name} must implement _trainer_parameters to support "
-            "data-parallel training"
+            f"{self.name} must implement _trainer_parameters to be trained"
         )
 
     def _make_validate_fn(self, val_arrays: Sequence[np.ndarray],
-                          batch_size: int, loss_fn: Callable) -> Callable:
-        """Wrap ``loss_fn`` into a grad-free held-out pass over ``val_arrays``.
+                          batch_size: int, spec: ParallelLossSpec) -> Callable:
+        """Grad-free held-out pass of :meth:`_validation_loss` over ``val_arrays``.
 
-        The detector's ``rng`` is swapped for a generator re-seeded with
-        ``seed + VALIDATION_SEED_OFFSET`` for the duration of the pass, so
-        stochastic losses (the VAE reparameterisations, the GAN latent
-        draws) see identical randomness at every epoch — comparable values —
-        without consuming the training stream the loss closures share.
+        Each pass draws the spec's randomness from a generator re-seeded
+        with ``seed + VALIDATION_SEED_OFFSET``, so stochastic losses (the
+        VAE reparameterisations, the GAN latent draws) see identical
+        randomness at every epoch — comparable values — without consuming
+        the training stream.
         """
         val_loader = WindowLoader(*val_arrays, batch_size=batch_size, shuffle=False)
 
         def validate(trainer, state) -> float:
+            val_rng = np.random.default_rng(self.seed + VALIDATION_SEED_OFFSET)
             total, count = 0.0, 0
-            train_rng = self.rng
-            self.rng = np.random.default_rng(self.seed + VALIDATION_SEED_OFFSET)
-            try:
-                with no_grad():
-                    for batch in val_loader:
-                        loss = loss_fn(batch, state)
-                        total += float(loss.data) * batch.size
-                        count += batch.size
-            finally:
-                self.rng = train_rng
+            with no_grad():
+                for batch in val_loader:
+                    payload = spec.draw(batch, val_rng, state)
+                    loss = self._validation_loss(spec, batch, payload, state)
+                    total += float(loss.data) * batch.size
+                    count += batch.size
             return total / max(count, 1)
 
         return validate
+
+    def _validation_loss(self, spec: ParallelLossSpec, batch, payload, state):
+        """Held-out loss of one batch: the spec's training loss by default.
+
+        ``spec.compute`` has no side effects — a GAN's discriminator step is
+        the spec's separate adversary hook — so it is safe on held-out data.
+        """
+        return spec.compute(batch, payload, state)
 
     # ------------------------------------------------------------------
     # Helpers shared by the window-based baselines

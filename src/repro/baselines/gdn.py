@@ -15,7 +15,6 @@ import numpy as np
 from ..nn import Linear, MLP, Parameter, Tensor
 from ..nn import functional as F
 from ..nn import init as nn_init
-from ..training import LambdaCallback
 from .base import BaseDetector
 
 __all__ = ["GDNDetector"]
@@ -109,11 +108,12 @@ class GDNDetector(BaseDetector):
     def _draw_graph(self, batch, rng: np.random.Generator, state):
         """Epoch-frozen adjacency, shipped with the batch as a spec payload.
 
-        Consumes no randomness.  Rebuilt from the parent's current embeddings
-        at the first batch of every epoch (``state.batch == 0``) — the
-        embeddings have not moved since epoch start, so this equals the
-        serial ``on_epoch_start`` rebuild — and broadcast over the batch so
-        every shard carries the same graph.
+        Consumes no randomness.  The graph follows the evolving embeddings:
+        it is rebuilt from the parent's current embeddings at the first batch
+        of every epoch (``state.batch == 0``) and frozen within the epoch —
+        the original GDN protocol — so the held-out pass at epoch end sees
+        the epoch's graph too.  It is broadcast over the batch so every shard
+        carries the same graph.
         """
         if state.batch == 0 or self._spec_adjacency is None:
             self._spec_adjacency = self._learn_graph()
@@ -144,30 +144,14 @@ class GDNDetector(BaseDetector):
         self._embedding_proj = Linear(self.embedding_dim, self.hidden_dim, rng=self.rng)
         self._output_head = MLP([self.hidden_dim, self.hidden_dim, 1], rng=self.rng)
 
-        parameters = self._trainer_parameters()
-
         inputs, targets, _ = self._make_samples(train)
         if inputs.shape[0] > self.max_train_samples:
             idx = self._subsample_indices(inputs.shape[0], self.max_train_samples)
             inputs, targets = inputs[idx], targets[idx]
 
-        # The graph follows the evolving embeddings: rebuilt at every epoch
-        # start (always before the first batch reads it), frozen within the
-        # epoch — the original GDN protocol.
-        graph = {"adjacency": None}
-
-        def rebuild_graph(trainer, state):
-            graph["adjacency"] = self._learn_graph()
-
-        def deviation_loss(batch, state):
-            batch_inputs, batch_targets = batch
-            prediction = self._forecast(batch_inputs, graph["adjacency"])
-            return F.mse_loss(prediction, Tensor(batch_targets))
-
-        self._run_trainer(parameters, deviation_loss, (inputs, targets),
+        self._run_trainer((inputs, targets),
                           epochs=self.epochs, batch_size=self.batch_size,
-                          learning_rate=self.learning_rate,
-                          callbacks=[LambdaCallback(on_epoch_start=rebuild_graph)])
+                          learning_rate=self.learning_rate)
 
         # Robust normalisation statistics of the training errors (per sensor).
         self._adjacency = self._learn_graph()

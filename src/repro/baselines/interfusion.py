@@ -83,11 +83,10 @@ class InterFusionDetector(BaseDetector):
         return list(self._parameters)
 
     def _draw_vae_noise(self, batch, rng: np.random.Generator, state):
-        """Both reparameterisation draws of one batch, in the serial order.
+        """Both reparameterisation draws of one batch, drawn in the parent.
 
-        The serial ELBO draws metric noise ``(B, L, mz)`` first and temporal
-        noise ``(B, tz)`` second from the same stream; pre-drawing in that
-        order keeps the spec path bit-identical.
+        Metric noise ``(B, L, mz)`` first, temporal noise ``(B, tz)``
+        second, from the same stream.
         """
         length = batch.data.shape[1]
         return (rng.standard_normal((batch.size, length, self.metric_latent_dim)),
@@ -96,7 +95,7 @@ class InterFusionDetector(BaseDetector):
     def _spec_elbo_loss(self, batch, payload, state):
         return self._hierarchical_elbo(batch.data, noise=payload)
 
-    def _hierarchical_elbo(self, data: np.ndarray, noise=None):
+    def _hierarchical_elbo(self, data: np.ndarray, noise):
         reconstruction, metric_mu, metric_logvar, temporal_mu, temporal_logvar = \
             self._encode_decode(data, sample=True, noise=noise)
         return F.mse_loss(reconstruction, Tensor(data)) \
@@ -107,9 +106,9 @@ class InterFusionDetector(BaseDetector):
     def _encode_decode(self, batch: np.ndarray, sample: bool = True, noise=None):
         """Return the reconstruction plus the variational statistics.
 
-        ``noise`` optionally injects the pre-drawn ``(metric, temporal)``
-        reparameterisation noise pair; when omitted (the serial path) both
-        draws come from ``self.rng`` in the same order.
+        ``sample=True`` reparameterises both latents with the pre-drawn
+        ``(metric, temporal)`` ``noise`` pair; ``sample=False`` decodes the
+        latent means.
         """
         batch_size, length, _ = batch.shape
         x = Tensor(batch)
@@ -118,9 +117,7 @@ class InterFusionDetector(BaseDetector):
         metric_mu = metric_stats[:, :, :self.metric_latent_dim]
         metric_logvar = metric_stats[:, :, self.metric_latent_dim:].clip(-6.0, 6.0)
         if sample:
-            drawn = noise[0] if noise is not None \
-                else self.rng.standard_normal(metric_mu.shape)
-            metric_latent = metric_mu + (metric_logvar * 0.5).exp() * Tensor(drawn)
+            metric_latent = metric_mu + (metric_logvar * 0.5).exp() * Tensor(noise[0])
         else:
             metric_latent = metric_mu
 
@@ -128,9 +125,7 @@ class InterFusionDetector(BaseDetector):
         temporal_mu = self._temporal_mu(final_hidden)
         temporal_logvar = self._temporal_logvar(final_hidden).clip(-6.0, 6.0)
         if sample:
-            drawn = noise[1] if noise is not None \
-                else self.rng.standard_normal(temporal_mu.shape)
-            temporal_latent = temporal_mu + (temporal_logvar * 0.5).exp() * Tensor(drawn)
+            temporal_latent = temporal_mu + (temporal_logvar * 0.5).exp() * Tensor(noise[1])
         else:
             temporal_latent = temporal_mu
 
@@ -152,10 +147,7 @@ class InterFusionDetector(BaseDetector):
             idx = self._subsample_indices(windows.shape[0], self.max_train_windows)
             windows = windows[idx]
 
-        def hierarchical_elbo(batch, state):
-            return self._hierarchical_elbo(batch.data)
-
-        self._run_trainer(self._parameters, hierarchical_elbo, (windows,),
+        self._run_trainer((windows,),
                           epochs=self.epochs, batch_size=self.batch_size,
                           learning_rate=self.learning_rate)
 

@@ -106,7 +106,6 @@ class MADGANDetector(BaseDetector):
         self._discriminator_lstm = LSTM(num_features, self.hidden_size, rng=self.rng)
         self._discriminator_head = Linear(self.hidden_size, 1, rng=self.rng)
 
-        generator_params = self._trainer_parameters()
         self._discriminator_opt = Adam(self._adversary_parameters(),
                                        lr=self.learning_rate)
 
@@ -115,25 +114,9 @@ class MADGANDetector(BaseDetector):
             idx = self._subsample_indices(windows.shape[0], self.max_train_windows)
             windows = windows[idx]
 
-        def adversarial_loss(batch, state):
-            # Discriminator update inline; the Trainer steps the generator.
-            # One latent draw feeds both rounds, as in the original loop.
-            payload = self._draw_latent(batch, self.rng, state)
-            self._discriminator_opt.zero_grad()
-            d_loss = self._adversary_loss(batch, payload, state)
-            d_loss.backward()
-            self._discriminator_opt.step()
-            return self._generator_loss(batch, payload, state)
-
-        def validation_loss(batch, state):
-            # Side-effect-free generator objective for the held-out pass: the
-            # discriminator is only consulted, never stepped, and the latent
-            # draw comes from the dedicated validation generator.
-            payload = self._draw_latent(batch, self.rng, state)
-            return self._generator_loss(batch, payload, state)
-
-        self._run_trainer(generator_params, adversarial_loss, (windows,),
-                          val_loss_fn=validation_loss,
+        # The spec steps the discriminator before every generator step; one
+        # latent draw feeds both rounds.
+        self._run_trainer((windows,),
                           epochs=self.epochs, batch_size=self.batch_size,
                           learning_rate=self.learning_rate)
 

@@ -85,8 +85,7 @@ class MSCREDDetector(BaseDetector):
         self._autoencoder = MLP([input_dim, self.hidden_dim, self.latent_dim,
                                  self.hidden_dim, input_dim], rng=self.rng)
 
-        self._run_trainer(self._trainer_parameters(), self._reconstruction_loss,
-                          (features,), epochs=self.epochs,
+        self._run_trainer((features,), epochs=self.epochs,
                           batch_size=self.batch_size,
                           learning_rate=self.learning_rate)
 

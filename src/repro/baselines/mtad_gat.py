@@ -101,8 +101,7 @@ class MTADGATDetector(BaseDetector):
             idx = self._subsample_indices(windows.shape[0], self.max_train_windows)
             windows, targets = windows[idx], targets[idx]
 
-        self._run_trainer(self._trainer_parameters(), self._joint_loss,
-                          (windows, targets),
+        self._run_trainer((windows, targets),
                           epochs=self.epochs, batch_size=self.batch_size,
                           learning_rate=self.learning_rate)
 

@@ -67,17 +67,12 @@ class OmniAnomalyDetector(BaseDetector):
         self._logvar_head = Linear(self.hidden_size, self.latent_dim, rng=self.rng)
         self._decoder = MLP([self.latent_dim, self.hidden_size, flat_dim], rng=self.rng)
 
-        parameters = (self._encoder.parameters() + self._mu_head.parameters()
-                      + self._logvar_head.parameters() + self._decoder.parameters())
-
         windows, _ = self._windows(train, self._window_size, self._window_size // 2 or 1)
         if windows.shape[0] > self.max_train_windows:
             idx = self._subsample_indices(windows.shape[0], self.max_train_windows)
             windows = windows[idx]
 
-        self._run_trainer(parameters,
-                          lambda batch, state: self._elbo_loss(batch.data),
-                          (windows,), epochs=self.epochs,
+        self._run_trainer((windows,), epochs=self.epochs,
                           batch_size=self.batch_size,
                           learning_rate=self.learning_rate)
 
@@ -88,18 +83,12 @@ class OmniAnomalyDetector(BaseDetector):
     def _draw_elbo_noise(self, batch, rng: np.random.Generator, state):
         """Reparameterisation noise of one batch, drawn in the parent.
 
-        The single draw of the serial ELBO, same shape and stream position
-        (``(batch, latent_dim)``), so pre-drawing keeps the spec path
-        bit-identical to :meth:`_elbo_loss`.
+        The ELBO's single random draw, of shape ``(batch, latent_dim)``.
         """
         return (rng.standard_normal((batch.size, self.latent_dim)),)
 
     def _spec_elbo_loss(self, batch, payload, state) -> Tensor:
         return self._elbo_from_noise(batch.data, payload[0])
-
-    def _elbo_loss(self, batch: np.ndarray) -> Tensor:
-        noise = self.rng.standard_normal((batch.shape[0], self.latent_dim))
-        return self._elbo_from_noise(batch, noise)
 
     def _elbo_from_noise(self, batch: np.ndarray, noise: np.ndarray) -> Tensor:
         _, last_hidden = self._encoder(Tensor(batch))

@@ -77,11 +77,12 @@ class ImDiffusionConfig:
       sampler variance.  Costs a second grad-free forward pass per
       validation batch; off by default to preserve the historical loss
       stream bit for bit.
-    * ``num_workers`` — data-parallel training: shard every batch across
-      this many spawned gradient workers whose averaged gradients feed the
-      single optimizer step (:class:`repro.training.ParallelTrainer`).  1
-      (the default) trains in-process; the random stream is identical for
-      every worker count, and parameters agree up to float summation order.
+    * ``num_workers`` — the ``num_workers`` of :class:`repro.training.Trainer`:
+      1 (the default) computes each batch's loss spec in-process; more
+      shards every batch across that many spawned gradient workers whose
+      averaged gradients feed the single optimizer step.  The random stream
+      is identical for every worker count, and parameters agree up to float
+      summation order.
     * ``early_stopping_patience`` / ``early_stopping_min_delta`` — training
       engine: stop after this many non-improving epochs (on the held-out
       loss when ``validation_fraction > 0``, the train loss otherwise) and

@@ -39,7 +39,7 @@ from ..training import (
     EarlyStopping,
     LRSchedule,
     ParallelLossSpec,
-    ParallelTrainer,
+    Trainer,
     WindowLoader,
     antithetic_loss,
     crn_validation_rng,
@@ -99,9 +99,10 @@ class ImputationScoreSpec(ScoreSpec):
     by ``config.batch_size``; ``draw`` pre-draws each task's reverse-diffusion
     noise on the parent generator in that same order (so the random stream is
     identical to the serial path for *every* worker count); ``compute`` is
-    the pure, rng-free imputation-error kernel of one task, delegating to
-    :meth:`ImDiffusionDetector._impute_window_errors` so the error formula
-    cannot drift between the serial and sharded paths.
+    the pure, rng-free imputation-error kernel of one task.  Offline
+    scoring, the serving layer's batched scorer and the sharded inference
+    workers all run this one kernel, so the error formula cannot drift
+    between them.
 
     The spec is spawn-safe: it ships the (picklable) fitted detector to each
     worker once at pool start-up; per-task messages carry only windows and
@@ -138,12 +139,25 @@ class ImputationScoreSpec(ScoreSpec):
             sampler=self.sampler, deterministic=self.deterministic)
 
     def compute(self, windows, task: ScoreTask, payload):
-        return {
-            progress: squared
-            for progress, squared in self.detector._impute_window_errors(
-                windows, self.masks[task.policy_index], task.policy_index,
-                rng=None, sampler=self.sampler, noise=payload)
-        }
+        """Squared imputation errors of one task, restricted to the masked region.
+
+        Returns ``progress -> (chunk, window, features)``; progress counts
+        visited steps from 1 (noisiest) upward, so it stays dense even under
+        a strided sampler.
+        """
+        mask = self.masks[task.policy_index]
+        result = self.detector._imputer.impute(
+            windows, np.broadcast_to(mask, windows.shape),
+            np.full(windows.shape[0], task.policy_index, dtype=np.int64), None,
+            collect=self.detector.config.collect,
+            deterministic=self.deterministic,
+            sampler=self.sampler,
+            noise=payload,
+        )
+        target_region = 1.0 - mask
+        return {progress: ((estimate - windows) ** 2) * target_region
+                for progress, (_, estimate) in enumerate(result.intermediate,
+                                                         start=1)}
 
 
 @dataclass
@@ -252,7 +266,7 @@ class ImDiffusionDetector:
 
         # Mask policies are pre-stacked once so each batch gathers its masks
         # with a single fancy-index instead of a per-item Python stack.  The
-        # loss spec makes the closure's random draws in the parent and its
+        # loss spec makes the batch's random draws in the parent and its
         # computation in-process or in spawned gradient workers
         # (config.num_workers); at one worker the loop is bit-identical to
         # the pre-engine hand-rolled loop.
@@ -264,7 +278,7 @@ class ImDiffusionDetector:
             validate_fn = self._make_validate_fn(val_arrays[0], masks_arr)
 
         loader = WindowLoader(windows, batch_size=config.batch_size, rng=self._rng)
-        trainer = ParallelTrainer(
+        trainer = Trainer(
             model.parameters(), optimizer, spec,
             num_workers=config.num_workers,
             grad_clip=config.grad_clip,
@@ -314,8 +328,9 @@ class ImDiffusionDetector:
         learning_rate:
             Optimizer step size; defaults to ``config.learning_rate``.
         num_workers:
-            Gradient workers for the pass (see
-            :class:`~repro.training.ParallelTrainer`); defaults to
+            Gradient workers for the pass: 1 trains in-process, more shard
+            every batch across spawned workers (see
+            :class:`~repro.training.Trainer`); defaults to
             ``config.num_workers``.
         patience:
             When given, adds an :class:`~repro.training.EarlyStopping`
@@ -371,7 +386,7 @@ class ImDiffusionDetector:
             tune_callbacks.append(EarlyStopping(patience=patience,
                                                 restore_best=True))
         loader = WindowLoader(windows, batch_size=config.batch_size, rng=rng)
-        trainer = ParallelTrainer(
+        trainer = Trainer(
             model.parameters(), optimizer, spec,
             num_workers=num_workers if num_workers is not None
             else config.num_workers,
@@ -410,27 +425,22 @@ class ImDiffusionDetector:
         if series.shape[0] < config.window_size:
             raise ValueError("series is shorter than one window")
         scaled = self._scaler.transform(series)
-        stride = recommended_stride(config)
-        windows, _ = sliding_windows(scaled, config.window_size, stride)
-        masks = build_masks(config, config.window_size, self._num_features)
-        sampler = config.build_sampler()
-        rng = np.random.default_rng(seed)
+        windows, _ = sliding_windows(scaled, config.window_size,
+                                     recommended_stride(config))
+        spec = ImputationScoreSpec(self)
+        total, count = 0.0, 0.0
+
+        def add_final_step(task, step_squared):
+            nonlocal total, count
+            total += float(step_squared[max(step_squared)].sum())
+            count += float((1.0 - spec.masks[task.policy_index]).sum()) * task.size
 
         model = self._imputer.model
         was_training = model.training
         model.eval()
-        total, count = 0.0, 0.0
         try:
-            for policy_index, mask in enumerate(masks):
-                target_elements = float((1.0 - mask).sum())
-                for chunk_start in range(0, windows.shape[0], config.batch_size):
-                    chunk = windows[chunk_start:chunk_start + config.batch_size]
-                    final = None
-                    for _, squared in self._impute_window_errors(
-                            chunk, mask, policy_index, rng, sampler=sampler):
-                        final = squared
-                    total += float(final.sum())
-                    count += target_elements * chunk.shape[0]
+            SerialScoreReducer(spec).window_errors(
+                windows, np.random.default_rng(seed), on_result=add_final_step)
         finally:
             if was_training:
                 model.train()
@@ -614,13 +624,14 @@ class ImDiffusionDetector:
         and every reverse-diffusion call executes under
         :class:`repro.nn.no_grad`, so no autograd graph is ever built.
 
-        ``score_workers > 1`` fans the (mask policy, window chunk) task plan
-        out across that many spawned scoring workers (see
-        :mod:`repro.inference`).  All randomness is still drawn on the
-        detector's generator in the serial order and results are accumulated
-        in the serial order, so the scores — and the generator state
-        afterwards — are identical to the serial path for every worker
-        count.
+        The (mask policy, window chunk) task plan of
+        :class:`ImputationScoreSpec` runs in-process at ``score_workers=1``
+        (:class:`~repro.inference.SerialScoreReducer`) and fans out across
+        that many spawned scoring workers above it
+        (:class:`~repro.inference.MultiprocessScoreReducer`).  All randomness
+        is drawn on the detector's generator in plan order and results are
+        accumulated in plan order, so the scores — and the generator state
+        afterwards — are identical for every worker count.
         """
         self._check_fitted()
         if score_workers < 1:
@@ -632,91 +643,46 @@ class ImDiffusionDetector:
                 f"test must have shape (time, {self._num_features})"
             )
         scaled = self._scaler.transform(test)
-        stride = recommended_stride(config)
-        windows, starts = sliding_windows(scaled, config.window_size, stride)
-        masks = build_masks(config, config.window_size, self._num_features)
+        windows, starts = sliding_windows(scaled, config.window_size,
+                                          recommended_stride(config))
+        spec = ImputationScoreSpec(self)
 
         length = scaled.shape[0]
         window = config.window_size
-        sampler = config.build_sampler()
-        num_collected = sampler.num_inference_steps(config.num_steps)
+        num_collected = spec.sampler.num_inference_steps(config.num_steps)
         error_sum = {k: np.zeros((length, self._num_features))
                      for k in range(1, num_collected + 1)}
         masked_count = np.zeros((length, self._num_features))
 
+        def scatter_add(task, step_squared):
+            # For each progress (trajectory order), each window of the chunk
+            # scatter-adds its errors at its start offset.
+            chunk_starts = starts[task.start:task.stop]
+            for progress, squared in step_squared.items():
+                for window_error, start in zip(squared, chunk_starts):
+                    error_sum[progress][start:start + window] += window_error
+
+        reducer = (SerialScoreReducer(spec) if score_workers == 1
+                   else MultiprocessScoreReducer(spec, score_workers))
         model = self._imputer.model
         was_training = model.training
         model.eval()
         try:
-            if score_workers == 1:
-                for policy_index, mask in enumerate(masks):
-                    target_region = 1.0 - mask
-                    for chunk_start in range(0, windows.shape[0], config.batch_size):
-                        chunk = windows[chunk_start:chunk_start + config.batch_size]
-                        chunk_starts = starts[chunk_start:chunk_start + config.batch_size]
-                        for progress, squared in self._impute_window_errors(
-                                chunk, mask, policy_index, self._rng, sampler=sampler):
-                            for window_error, start in zip(squared, chunk_starts):
-                                error_sum[progress][start:start + window] += window_error
-                        for start in chunk_starts:
-                            masked_count[start:start + window] += target_region
-            else:
-                def scatter_add(task, step_squared):
-                    # Replicates the serial inner accumulation exactly: for
-                    # each progress (trajectory order), each window of the
-                    # chunk scatter-adds at its start offset.
-                    chunk_starts = starts[task.start:task.stop]
-                    for progress, squared in step_squared.items():
-                        for window_error, start in zip(squared, chunk_starts):
-                            error_sum[progress][start:start + window] += window_error
-
-                reducer = MultiprocessScoreReducer(
-                    ImputationScoreSpec(self), score_workers)
-                with reducer:
-                    reducer.window_errors(windows, self._rng,
-                                          on_result=scatter_add)
-                for mask in masks:
-                    target_region = 1.0 - mask
-                    for start in starts:
-                        masked_count[start:start + window] += target_region
+            with reducer:
+                reducer.window_errors(windows, self._rng, on_result=scatter_add)
         finally:
             if was_training:
                 model.train()
+        for mask in spec.masks:
+            target_region = 1.0 - mask
+            for start in starts:
+                masked_count[start:start + window] += target_region
 
         coverage = np.maximum(masked_count.sum(axis=1), 1.0)
         step_errors: Dict[int, np.ndarray] = {}
         for progress, totals in error_sum.items():
             step_errors[progress] = totals.sum(axis=1) / coverage
         return step_errors
-
-    def _impute_window_errors(self, chunk: np.ndarray, mask: np.ndarray,
-                              policy_index: int,
-                              rng: Optional[np.random.Generator],
-                              sampler=None, noise=None):
-        """Run one mask policy over a chunk of windows.
-
-        Yields ``(progress, squared)`` pairs with ``squared`` of shape
-        ``(chunk, window, features)``, restricted to the masked region.
-        Progress counts visited steps from 1 (noisiest) upward, so it stays
-        dense even under a strided sampler.  Shared by offline scoring, the
-        serving layer's batched scorer and the sharded inference workers
-        (which pass pre-drawn ``noise`` and no ``rng``) so the
-        imputation-error formula cannot drift between the paths.
-        """
-        config = self.config
-        sampler = sampler or config.build_sampler()
-        target_region = 1.0 - mask
-        batch_masks = np.broadcast_to(mask, chunk.shape)
-        policies = np.full(chunk.shape[0], policy_index, dtype=np.int64)
-        result = self._imputer.impute(
-            chunk, batch_masks, policies, rng,
-            collect=config.collect,
-            deterministic=config.deterministic_inference,
-            sampler=sampler,
-            noise=noise,
-        )
-        for progress, (_, estimate) in enumerate(result.intermediate, start=1):
-            yield progress, ((estimate - chunk) ** 2) * target_region
 
     # ------------------------------------------------------------------
     # Prediction

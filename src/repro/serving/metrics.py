@@ -59,6 +59,7 @@ class ServiceMetrics:
         self.windows_scored = 0
         self.batches_flushed = 0
         self.alarms_raised = 0
+        self.alarm_scans_empty = 0  # scans that found no dirty tenant
         self.backpressure_events = 0
         self.points_evicted = 0
         self.flush_reasons: Dict[str, int] = {}
@@ -79,7 +80,8 @@ class ServiceMetrics:
         self.active_tenants = 0
         # Latency of batched scoring calls
         self.scoring_latency = LatencyTracker()
-        # Latency of the post-merge alarm scan (decide + fresh-span analytics)
+        # Latency of the post-merge alarm scans that found a dirty tenant
+        # (decide + fresh-span analytics); empty scans only count above
         self.alarm_scan_latency = LatencyTracker()
 
     # ------------------------------------------------------------------
@@ -128,7 +130,7 @@ class ServiceMetrics:
         self.hot_swaps += 1
 
     def record_alarm_scan(self, seconds: float) -> None:
-        """Account one :meth:`DetectorService.collect_alarms` scan."""
+        """Account one :meth:`DetectorService.collect_alarms` scan that did work."""
         self.alarm_scan_latency.record(seconds)
 
     def record_drain(self, num_windows: int, new_points: int) -> None:
@@ -163,6 +165,7 @@ class ServiceMetrics:
             "windows_scored": float(self.windows_scored),
             "batches_flushed": float(self.batches_flushed),
             "alarms_raised": float(self.alarms_raised),
+            "alarm_scans_empty": float(self.alarm_scans_empty),
             "alerts_fired": float(self.alerts_fired),
             "alerts_resolved": float(self.alerts_resolved),
             "drift_events": float(self.drift_events),

@@ -204,12 +204,17 @@ class DetectorService:
         and labels land in the per-tenant score store, episodes advance, and
         every configured alert policy is evaluated incrementally (events are
         queued on ``self.analytics`` — see :meth:`drain_alert_events`).
+        A scan that finds no dirty tenant (the common case after an
+        ``ingest`` that flushed nothing) is only counted, so the scan
+        latency distribution describes scans that did work.
         """
         scan_started = self.metrics.clock()
         alarms: List[Alarm] = []
-        for tenant, dirty in list(self._dirty.items()):
-            if not dirty:
-                continue
+        dirty_tenants = [tenant for tenant, dirty in self._dirty.items() if dirty]
+        if not dirty_tenants:
+            self.metrics.alarm_scans_empty += 1
+            return alarms
+        for tenant in dirty_tenants:
             self._dirty[tenant] = False
             view = self.scorer.decide(tenant)
             cursor = max(self._alarm_cursor[tenant], view.start)

@@ -16,21 +16,35 @@ loop for the ImDiffusion denoiser and all nine trainable baselines.
   :class:`LRSchedule` (``StepLR``/``CosineLR``), :class:`Checkpoint`,
   :class:`LambdaCallback`.  Early stopping and best snapshots both track
   :func:`monitored_loss` — the held-out loss whenever validation runs,
-* :class:`ParallelTrainer` — data-parallel execution of the same loop:
-  batches are sharded across spawned gradient workers through the
-  :class:`GradientReducer` seam, and the parent averages shard gradients
-  before the single optimizer step (bit-identical to :class:`Trainer` at
-  ``num_workers=1``).
+* :class:`ParallelLossSpec` — the loss of one batch, split into a
+  parent-side ``draw`` of its randomness and a pure ``compute``.  The
+  trainer runs it in-process at ``num_workers=1`` (:class:`SpecReducer`) or
+  shards every batch across spawned gradient workers above that
+  (:class:`MultiprocessReducer`), averaging shard gradients before the
+  single optimizer step.
 
 Quickstart::
 
-    from repro.nn import Adam
-    from repro.training import EarlyStopping, Trainer, WindowLoader
+    from repro.nn import Adam, Tensor
+    from repro.nn import functional as F
+    from repro.training import (EarlyStopping, ParallelLossSpec, Trainer,
+                                WindowLoader)
 
-    loader = WindowLoader(windows, batch_size=16, rng=rng)
+    class MSELoss(ParallelLossSpec):
+        def __init__(self, model):
+            self.model = model
+
+        def build(self):
+            return self.model.parameters()
+
+        def compute(self, batch, payload, state):
+            inputs, targets = batch
+            return F.mse_loss(self.model(Tensor(inputs)), Tensor(targets))
+
+    loader = WindowLoader(inputs, targets, batch_size=16, rng=rng)
     trainer = Trainer(model.parameters(), Adam(model.parameters(), lr=1e-3),
-                      lambda batch, state: loss_of(batch.data),
-                      grad_clip=5.0, callbacks=[EarlyStopping(patience=3)])
+                      MSELoss(model), grad_clip=5.0, rng=rng,
+                      callbacks=[EarlyStopping(patience=3)])
     result = trainer.fit(loader, epochs=50)
 """
 
@@ -52,13 +66,13 @@ from .loader import (
 )
 from .parallel import (
     AdversarialMethodLossSpec,
+    GradientReducer,
     MethodLossSpec,
     MultiprocessReducer,
     ParallelLossSpec,
-    ParallelTrainer,
     SpecReducer,
 )
-from .trainer import GradientReducer, SerialReducer, Trainer, TrainResult, TrainState
+from .trainer import Trainer, TrainResult, TrainState
 from .variance import antithetic_loss, crn_validation_rng
 
 __all__ = [
@@ -71,13 +85,11 @@ __all__ = [
     "TrainResult",
     "TrainState",
     "GradientReducer",
-    "SerialReducer",
     "ParallelLossSpec",
     "MethodLossSpec",
     "AdversarialMethodLossSpec",
     "SpecReducer",
     "MultiprocessReducer",
-    "ParallelTrainer",
     "Callback",
     "LossHistory",
     "EarlyStopping",

@@ -1,10 +1,12 @@
-"""Data-parallel training: sharded multiprocess gradient workers.
+"""Loss specs and the gradient reducers that execute them.
 
-:class:`ParallelTrainer` scales the shared :class:`~repro.training.Trainer`
-across CPU cores without changing its semantics: every mini-batch is split
-into contiguous per-sample shards, ``num_workers`` spawned processes each run
-one forward/backward over their shard, and the parent weight-averages the
-shard gradients before taking the *single* optimizer step the serial loop
+:class:`~repro.training.Trainer` computes every batch gradient through a
+:class:`GradientReducer` over a :class:`ParallelLossSpec`.  At
+``num_workers=1`` the :class:`SpecReducer` runs the spec in-process; above
+that the :class:`MultiprocessReducer` splits every mini-batch into
+contiguous per-sample shards, ``num_workers`` spawned processes each run one
+forward/backward over their shard, and the parent weight-averages the shard
+gradients before taking the *single* optimizer step the in-process loop
 would have taken.  The decomposition is exact — for a loss of the form
 ``sum(errors) / weight`` the full-batch gradient equals
 ``sum(w_i * g_i) / sum(w_i)`` over the shards — so data parallelism is a pure
@@ -15,8 +17,7 @@ execution detail:
 * callbacks, gradient clipping, checkpointing and resume run in the parent,
   untouched; ``num_workers`` is not part of the checkpoint, so a snapshot can
   be resumed under a different worker count,
-* at ``num_workers=1`` no process is spawned and the loop is bit-identical
-  to the serial :class:`~repro.training.Trainer` (regression-tested),
+* at ``num_workers=1`` no process is spawned,
 * at ``num_workers>1`` runs are bitwise reproducible for a fixed worker
   count and numerically equivalent (up to float summation order) across
   worker counts.
@@ -35,32 +36,35 @@ generation, and per-step serialization no longer scales with model size.
 from __future__ import annotations
 
 import traceback
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import replace
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..inference.pool import WorkerPool, register_cleanup, unregister_cleanup
 from ..nn.shm import SharedParameterBlock, SharedParameterSpec, SharedParameterView
 from .loader import Batch
-from .trainer import GradientReducer, Trainer, TrainState
+
+if TYPE_CHECKING:
+    from .trainer import Trainer, TrainState
 
 __all__ = [
     "ParallelLossSpec",
     "MethodLossSpec",
     "AdversarialMethodLossSpec",
+    "GradientReducer",
     "SpecReducer",
     "MultiprocessReducer",
-    "ParallelTrainer",
 ]
 
 
 class ParallelLossSpec:
     """A training loss factored for data-parallel execution.
 
-    The serial engine consumes an opaque closure ``loss_fn(batch, state)``;
-    workers cannot, both because closures do not pickle and because any
-    randomness drawn *inside* the loss would depend on how the batch was
-    sharded.  A spec splits the closure into three picklable parts:
+    Workers cannot run an opaque loss closure, both because closures do not
+    pickle and because any randomness drawn *inside* the loss would depend
+    on how the batch was sharded.  A spec splits the loss into three
+    picklable parts:
 
     * :meth:`draw` — every random draw the loss makes for a batch, executed
       in the parent on the trainer's generator *before* sharding.  Returns a
@@ -76,8 +80,8 @@ class ParallelLossSpec:
       override it so ``sum(w_i * g_i) / sum(w_i)`` reproduces the full-batch
       gradient.
 
-    The contract: ``compute(batch, draw(batch, rng, state), state)`` must be
-    bit-identical to the serial closure, consuming ``rng`` in the same order.
+    The contract: ``compute(batch, draw(batch, rng, state), state)`` is the
+    batch loss, and every random draw it needs happens in ``draw``.
 
     Specs of adversarially trained models additionally set ``has_adversary``
     and implement the adversary hooks (see
@@ -85,9 +89,9 @@ class ParallelLossSpec:
     reducers run one *adversary round* — compute ``adversary_compute`` over
     the (sharded) batch, reduce the gradients onto the parent's adversary
     parameters with the same weighted average, and take the adversary's
-    optimizer step in the parent — reproducing the serial GAN alternation
-    (discriminator step inside the loss closure) without worker replicas
-    ever stepping a model of their own.
+    optimizer step in the parent — the GAN alternation (one discriminator
+    step before every generator step) without worker replicas ever stepping
+    a model of their own.
     """
 
     #: Whether the spec carries a second, adversarially trained model whose
@@ -175,18 +179,17 @@ class MethodLossSpec(ParallelLossSpec):
 class AdversarialMethodLossSpec(MethodLossSpec):
     """Method spec for GAN-style baselines with a parent-stepped adversary.
 
-    The serial GAN closures interleave a discriminator update into the loss
-    function; sharded workers cannot replay that (each replica would step a
+    A GAN takes one discriminator step before every generator step; sharded
+    workers cannot take it inside the loss (each replica would step a
     private discriminator on its shard and diverge).  This spec factors the
     alternation the same way the main loss is factored: workers compute the
     *gradients* of ``adversary_loss_method`` on their shard, the parent
     weight-averages them onto the real discriminator and steps its optimizer
     (``adversary_optimizer_attr``, an attribute of the owner), and only then
     is the main loss computed against the freshly updated adversary — the
-    exact serial ordering.  Both loss methods take ``(batch, payload,
+    same ordering :class:`SpecReducer` runs in-process.  Both loss methods take ``(batch, payload,
     state)``, sharing one payload so e.g. MAD-GAN's latent draw feeds the
-    discriminator and generator phases with the same noise, as the serial
-    closure does.
+    discriminator and generator phases with the same noise.
     """
 
     has_adversary = True
@@ -220,13 +223,46 @@ class AdversarialMethodLossSpec(MethodLossSpec):
         getattr(self.owner, self.adversary_optimizer_attr).step()
 
 
+class GradientReducer:
+    """Strategy that turns one batch into gradients on the trainer's parameters.
+
+    The reducer is the seam between the epoch/batch loop and *how* the batch
+    gradient is produced: :class:`SpecReducer` runs the loss spec in-process
+    (one forward/backward), while :class:`MultiprocessReducer` shards the
+    batch across worker processes and averages their gradients.  Everything
+    around the seam — callbacks, gradient clipping, the optimizer step,
+    checkpoint and resume — is reducer-agnostic and stays in
+    :class:`~repro.training.Trainer`.
+    """
+
+    def open(self, trainer: "Trainer") -> None:
+        """Acquire resources for one ``fit`` call (worker pools, ...)."""
+
+    def close(self) -> None:
+        """Release resources acquired by :meth:`open`; idempotent."""
+
+    def __enter__(self) -> "GradientReducer":
+        # open() needs the trainer, so entering does not acquire; the context
+        # manager only guarantees release (close() must be idempotent).
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def accumulate(self, batch: Batch, state: "TrainState") -> float:
+        """Leave the batch gradient in each parameter's ``grad`` slot.
+
+        Returns the batch loss as a float.  Called with all gradients
+        zeroed; must not step the optimizer or clip.
+        """
+        raise NotImplementedError
+
+
 class SpecReducer(GradientReducer):
     """In-process execution of a :class:`ParallelLossSpec`.
 
     The ``num_workers=1`` path: no process is spawned and no arrays are
-    copied, so a :class:`ParallelTrainer` with one worker runs the exact
-    serial loop — the spec contract then guarantees bit-identity with a
-    :class:`~repro.training.Trainer` over the equivalent closure.
+    copied; draw, adversary step (if any) and loss run on the full batch.
     """
 
     def __init__(self, spec: ParallelLossSpec) -> None:
@@ -239,10 +275,9 @@ class SpecReducer(GradientReducer):
     def accumulate(self, batch: Batch, state: TrainState) -> float:
         payload = self.spec.draw(batch, self._trainer.rng, state)
         if self.spec.has_adversary:
-            # Serial adversary alternation: zero the adversary's grads,
+            # Adversary alternation: zero the adversary's grads,
             # backpropagate its loss over the full batch and step its
-            # optimizer before the main loss sees it — the exact sequence
-            # the legacy GAN closures ran inline.
+            # optimizer before the main loss sees it.
             for parameter in self.spec.adversary_parameters():
                 parameter.grad = None
             adversary_loss = self.spec.adversary_compute(batch, payload, state)
@@ -432,8 +467,8 @@ class MultiprocessReducer(GradientReducer):
         connections = self._pool.connections
         bounds = _shard_bounds(batch.size, self.num_workers)
         generation = self._block.publish(self._all_parameters)
-        slim_state = TrainState(epoch=state.epoch, step=state.step,
-                                batch=state.batch, last_loss=state.last_loss)
+        slim_state = replace(state, epoch_losses=[], val_losses=[],
+                             batch_losses=[])
         for (start, stop), conn in zip(bounds, connections):
             conn.send(self._compose_step_message(
                 phase, generation, batch, payload, slim_state, start, stop))
@@ -493,8 +528,8 @@ class MultiprocessReducer(GradientReducer):
         if self.spec.has_adversary:
             # Round 1 — discriminator: sharded gradients of the adversary
             # loss, reduced onto the parent's adversary parameters, then the
-            # adversary's own optimizer step (unclipped, as in the serial
-            # closures).  The next publish ships the updated weights.
+            # adversary's own optimizer step (unclipped, as in SpecReducer).
+            # The next publish ships the updated weights.
             adversary = self.spec.adversary_parameters()
             for parameter in adversary:
                 parameter.grad = None
@@ -503,33 +538,3 @@ class MultiprocessReducer(GradientReducer):
         # Round 2 (or the only round) — the trainer's own loss.
         return self._sharded_round("loss", batch, payload, state,
                                    trainer.parameters)
-
-
-class ParallelTrainer(Trainer):
-    """A :class:`~repro.training.Trainer` whose gradients come from a sharded pool.
-
-    Construction mirrors ``Trainer`` but takes a :class:`ParallelLossSpec`
-    instead of a loss closure.  ``num_workers=1`` executes the spec
-    in-process (bit-identical to the serial trainer, no subprocess);
-    ``num_workers>=2`` spawns that many gradient workers for the duration of
-    each :meth:`fit` call.  Checkpoints, callbacks and ``validate_fn`` are
-    inherited unchanged — the worker count is an execution detail that never
-    enters the snapshot, so runs may be resumed on machines with different
-    core counts.
-    """
-
-    def __init__(self, parameters: Sequence, optimizer,
-                 loss_spec: ParallelLossSpec, *, num_workers: int = 1,
-                 grad_clip: Optional[float] = None,
-                 callbacks: Sequence = (),
-                 rng: Optional[np.random.Generator] = None,
-                 validate_fn=None) -> None:
-        if num_workers < 1:
-            raise ValueError("num_workers must be at least 1")
-        self.loss_spec = loss_spec
-        self.num_workers = int(num_workers)
-        reducer = (SpecReducer(loss_spec) if num_workers == 1
-                   else MultiprocessReducer(loss_spec, num_workers))
-        super().__init__(parameters, optimizer, loss_fn=None,
-                         grad_clip=grad_clip, callbacks=callbacks, rng=rng,
-                         validate_fn=validate_fn, reducer=reducer)

@@ -4,11 +4,14 @@
 ``ImDiffusionDetector.fit`` and nine baseline ``_fit`` methods: shuffle (via
 a :class:`~repro.training.WindowLoader`), compute the loss, backpropagate,
 clip gradients, step the optimizer — and emit callback hooks around every
-stage.  The loop is RNG-transparent: for an identical loader, loss function
-and optimizer it consumes the random stream in exactly the order the legacy
-hand-rolled loops did, so a migrated detector produces bit-identical
-parameters for a fixed seed (regression-tested against a frozen copy of the
-pre-refactor ImDiffusion loop).
+stage.  The loss is a :class:`~repro.training.ParallelLossSpec`: its
+``draw`` makes the batch's random draws on the trainer's generator and its
+``compute`` forms the loss, in-process at ``num_workers=1`` or sharded over
+spawned gradient workers above that.  The loop is RNG-transparent: for an
+identical loader, loss and optimizer it consumes the random stream in
+exactly the order the legacy hand-rolled loops did, so a migrated detector
+produces bit-identical parameters for a fixed seed (regression-tested
+against frozen copies of the pre-refactor loops).
 
 The trainer is also checkpointable mid-run: :meth:`Trainer.state_dict`
 captures parameters, optimizer slots, RNG state, loss history and callback
@@ -26,63 +29,16 @@ import numpy as np
 
 from ..nn import Optimizer, clip_grad_norm
 from .callbacks import Callback
-from .loader import Batch
+from .parallel import (
+    GradientReducer,
+    MultiprocessReducer,
+    ParallelLossSpec,
+    SpecReducer,
+)
 
-__all__ = ["TrainState", "TrainResult", "Trainer", "GradientReducer", "SerialReducer"]
+__all__ = ["TrainState", "TrainResult", "Trainer"]
 
 _STATE_FORMAT_VERSION = 1
-
-
-class GradientReducer:
-    """Strategy that turns one batch into gradients on the trainer's parameters.
-
-    The reducer is the seam between the epoch/batch loop and *how* the batch
-    gradient is produced: the default :class:`SerialReducer` runs the loss
-    closure in-process (one forward/backward, exactly the pre-seam loop),
-    while :class:`repro.training.MultiprocessReducer` shards the batch across
-    worker processes and averages their gradients.  Everything around the
-    seam — callbacks, gradient clipping, the optimizer step, checkpoint and
-    resume — is reducer-agnostic and stays in :class:`Trainer`.
-    """
-
-    def open(self, trainer: "Trainer") -> None:
-        """Acquire resources for one ``fit`` call (worker pools, ...)."""
-
-    def close(self) -> None:
-        """Release resources acquired by :meth:`open`; idempotent."""
-
-    def __enter__(self) -> "GradientReducer":
-        # open() needs the trainer, so entering does not acquire; the context
-        # manager only guarantees release (close() must be idempotent).
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def accumulate(self, batch: Batch, state: "TrainState") -> float:
-        """Leave the batch gradient in each parameter's ``grad`` slot.
-
-        Returns the batch loss as a float.  Called with all gradients
-        zeroed; must not step the optimizer or clip.
-        """
-        raise NotImplementedError
-
-
-class SerialReducer(GradientReducer):
-    """In-process forward/backward of the trainer's loss closure."""
-
-    def __init__(self) -> None:
-        self._trainer: Optional["Trainer"] = None
-
-    def open(self, trainer: "Trainer") -> None:
-        if trainer.loss_fn is None:
-            raise ValueError("SerialReducer requires the trainer to have a loss_fn")
-        self._trainer = trainer
-
-    def accumulate(self, batch: Batch, state: "TrainState") -> float:
-        loss = self._trainer.loss_fn(batch, state)
-        loss.backward()
-        return float(loss.data)
 
 
 @dataclass
@@ -131,21 +87,29 @@ class Trainer:
         The parameters to clip and (via ``optimizer``) update.
     optimizer:
         Any :class:`repro.nn.Optimizer` over the same parameters.
-    loss_fn:
-        ``(batch, state) -> Tensor`` producing the scalar loss of one
-        mini-batch.  ``batch`` is whatever the loader yields (a
+    loss_spec:
+        The :class:`~repro.training.ParallelLossSpec` of one mini-batch:
+        ``draw(batch, rng, state)`` makes its random draws on ``rng`` and
+        ``compute(batch, payload, state)`` returns the scalar loss.
+        ``batch`` is whatever the loader yields (a
         :class:`~repro.training.Batch`); ``state`` is the live
         :class:`TrainState`, letting epoch-dependent objectives (e.g.
         TranAD's adversarial schedule) read ``state.epoch``.
+    num_workers:
+        1 computes each batch in-process (:class:`SpecReducer`); more shards
+        it across that many spawned gradient workers
+        (:class:`MultiprocessReducer`) for the duration of each :meth:`fit`.
+        The worker count never enters a checkpoint, so a snapshot may be
+        resumed under a different one.
     grad_clip:
         Global L2 gradient-norm bound applied before every optimizer step
         (``None`` disables clipping).
     callbacks:
         :class:`~repro.training.Callback` instances, invoked in order.
     rng:
-        The random generator driving the run (loader shuffle + loss
-        sampling).  Only needed so checkpoints can capture and restore the
-        generator state for bit-identical resumption.
+        The random generator driving the run (loader shuffle + the spec's
+        ``draw``).  Checkpoints capture and restore its state for
+        bit-identical resumption.
     validate_fn:
         ``(trainer, state) -> float`` returning the held-out validation loss,
         evaluated once at the end of every epoch *before* the
@@ -154,33 +118,30 @@ class Trainer:
         should run grad-free (under :class:`repro.nn.no_grad`) and must not
         consume the trainer's ``rng``, or the validated run's training
         stream would diverge from an unvalidated one.
-    reducer:
-        The :class:`GradientReducer` producing each batch's gradients.
-        Defaults to a :class:`SerialReducer` over ``loss_fn`` (the classic
-        in-process loop); :class:`repro.training.ParallelTrainer` plugs in a
-        multiprocess reducer here instead.  ``loss_fn`` may be ``None`` when
-        a reducer is supplied.
     """
 
     def __init__(self, parameters: Sequence, optimizer: Optimizer,
-                 loss_fn: Optional[Callable[[Batch, TrainState], object]],
+                 loss_spec: ParallelLossSpec, *, num_workers: int = 1,
                  grad_clip: Optional[float] = None,
                  callbacks: Sequence[Callback] = (),
                  rng: Optional[np.random.Generator] = None,
-                 validate_fn: Optional[Callable[["Trainer", TrainState], float]] = None,
-                 reducer: Optional[GradientReducer] = None) -> None:
+                 validate_fn: Optional[Callable[["Trainer", "TrainState"], float]] = None
+                 ) -> None:
         self.parameters = list(parameters)
         if not self.parameters:
             raise ValueError("Trainer received an empty parameter list")
-        if loss_fn is None and reducer is None:
-            raise ValueError("Trainer needs a loss_fn or a reducer")
+        if num_workers < 1:
+            raise ValueError("num_workers must be at least 1")
         self.optimizer = optimizer
-        self.loss_fn = loss_fn
+        self.loss_spec = loss_spec
+        self.num_workers = int(num_workers)
         self.grad_clip = grad_clip
         self.callbacks = list(callbacks)
         self.rng = rng
         self.validate_fn = validate_fn
-        self.reducer = reducer if reducer is not None else SerialReducer()
+        self.reducer: GradientReducer = (
+            SpecReducer(loss_spec) if num_workers == 1
+            else MultiprocessReducer(loss_spec, num_workers))
         self.state = TrainState()
 
     # ------------------------------------------------------------------

@@ -229,3 +229,24 @@ class TestServiceScoreWorkers:
             assert "alarm_scan_latency_p50 (ms)" in service.metrics.format_table()
         finally:
             service.close()
+
+    def test_empty_alarm_scans_are_counted_not_timed(self, detector):
+        # A flush size (and age) no ingest reaches: every ingest's scan finds
+        # no dirty tenant, then drain scores both tenants and scans once
+        # with work.
+        service = DetectorService(detector, ServingConfig(
+            flush_size=10_000, max_pending=10_000, flush_age=3600.0))
+        try:
+            rng = np.random.default_rng(10)
+            for _ in range(3):
+                for tenant in ("a", "b"):
+                    service.ingest(tenant, rng.standard_normal((8, 2)))
+            assert service.metrics.alarm_scan_latency.count == 0
+            service.drain()
+            service.pump()  # nothing new since the drain: empty again
+            snap = service.metrics.snapshot()
+            assert snap["alarm_scans_empty"] == 6 + 1
+            assert service.metrics.alarm_scan_latency.count == 1
+            assert snap["alarm_scan_latency_p99"] > 0.0
+        finally:
+            service.close()

@@ -6,8 +6,10 @@ The contract under test mirrors the data-parallel training engine:
   ``draw_impute_noise`` + noise-injected ``impute`` is **bit-identical** to
   the internal-rng path (including the generator's end state),
 * :class:`SerialScoreReducer` reproduces the pre-engine inline scoring loop
-  bit for bit, and :class:`MultiprocessScoreReducer` reproduces the serial
-  reducer for **every** worker count (1-worker = the bit-identity gate),
+  bit for bit — and so do ``detector.score()`` and ``holdout_error()``,
+  which run through it — and :class:`MultiprocessScoreReducer` reproduces
+  the serial reducer for **every** worker count (1-worker = the
+  bit-identity gate),
 * parameters cross to the workers through the shared-memory transport, so
   per-step pipe messages do not scale with the parameter count (gradient
   and scoring reducers alike),
@@ -27,7 +29,8 @@ import pytest
 
 from repro import ImDiffusionConfig, ImDiffusionDetector
 from repro.core.detector import ImputationLossSpec, ImputationScoreSpec
-from repro.core.modes import build_masks
+from repro.core.modes import build_masks, recommended_stride
+from repro.data.windows import sliding_windows
 from repro.diffusion import ImputeNoise
 from repro.inference import (
     MultiprocessScoreReducer,
@@ -35,9 +38,8 @@ from repro.inference import (
     SerialScoreReducer,
     WorkerPool,
 )
-from repro.training import MultiprocessReducer
+from repro.training import Batch, MultiprocessReducer, TrainState
 from repro.training.parallel import _shard_bounds
-from repro.training.trainer import Batch, TrainState
 
 
 def _config(**overrides):
@@ -65,6 +67,81 @@ def _windows(fitted, count=10, seed=5):
     config = fitted.config
     return np.random.default_rng(seed).standard_normal(
         (count, config.window_size, fitted.num_features))
+
+
+# ---------------------------------------------------------------------------
+# Frozen pre-reducer scoring loops (verbatim copies, rng-driven)
+# ---------------------------------------------------------------------------
+def _legacy_window_errors(detector, chunk, mask, policy_index, rng, sampler):
+    """The pre-reducer ``_impute_window_errors`` body, frozen."""
+    config = detector.config
+    target_region = 1.0 - mask
+    batch_masks = np.broadcast_to(mask, chunk.shape)
+    policies = np.full(chunk.shape[0], policy_index, dtype=np.int64)
+    result = detector._imputer.impute(
+        chunk, batch_masks, policies, rng,
+        collect=config.collect,
+        deterministic=config.deterministic_inference,
+        sampler=sampler,
+    )
+    for progress, (_, estimate) in enumerate(result.intermediate, start=1):
+        yield progress, ((estimate - chunk) ** 2) * target_region
+
+
+def _legacy_score(detector, test):
+    """The pre-reducer inline ``score`` loop (``score_workers=1``), frozen."""
+    config = detector.config
+    scaled = detector._scaler.transform(np.asarray(test, dtype=np.float64))
+    stride = recommended_stride(config)
+    windows, starts = sliding_windows(scaled, config.window_size, stride)
+    masks = build_masks(config, config.window_size, detector.num_features)
+    length = scaled.shape[0]
+    window = config.window_size
+    sampler = config.build_sampler()
+    num_collected = sampler.num_inference_steps(config.num_steps)
+    error_sum = {k: np.zeros((length, detector.num_features))
+                 for k in range(1, num_collected + 1)}
+    masked_count = np.zeros((length, detector.num_features))
+    detector._imputer.model.eval()
+    for policy_index, mask in enumerate(masks):
+        target_region = 1.0 - mask
+        for chunk_start in range(0, windows.shape[0], config.batch_size):
+            chunk = windows[chunk_start:chunk_start + config.batch_size]
+            chunk_starts = starts[chunk_start:chunk_start + config.batch_size]
+            for progress, squared in _legacy_window_errors(
+                    detector, chunk, mask, policy_index, detector._rng, sampler):
+                for window_error, start in zip(squared, chunk_starts):
+                    error_sum[progress][start:start + window] += window_error
+            for start in chunk_starts:
+                masked_count[start:start + window] += target_region
+    coverage = np.maximum(masked_count.sum(axis=1), 1.0)
+    step_errors = {progress: totals.sum(axis=1) / coverage
+                   for progress, totals in error_sum.items()}
+    return step_errors, coverage
+
+
+def _legacy_holdout_error(detector, series, seed):
+    """The pre-reducer ``holdout_error`` loop, frozen."""
+    config = detector.config
+    scaled = detector._scaler.transform(np.asarray(series, dtype=np.float64))
+    windows, _ = sliding_windows(scaled, config.window_size,
+                                 recommended_stride(config))
+    masks = build_masks(config, config.window_size, detector.num_features)
+    sampler = config.build_sampler()
+    rng = np.random.default_rng(seed)
+    detector._imputer.model.eval()
+    total, count = 0.0, 0.0
+    for policy_index, mask in enumerate(masks):
+        target_elements = float((1.0 - mask).sum())
+        for chunk_start in range(0, windows.shape[0], config.batch_size):
+            chunk = windows[chunk_start:chunk_start + config.batch_size]
+            final = None
+            for _, squared in _legacy_window_errors(
+                    detector, chunk, mask, policy_index, rng, sampler):
+                final = squared
+            total += float(final.sum())
+            count += target_elements * chunk.shape[0]
+    return total / max(count, 1.0)
 
 
 class ExplodingSpec(ImputationScoreSpec):
@@ -181,8 +258,8 @@ class TestSerialScoreReducer:
         for policy_index, mask in enumerate(masks):
             for chunk_start in range(0, batch, config.batch_size):
                 chunk = windows[chunk_start:chunk_start + config.batch_size]
-                for progress, squared in fitted._impute_window_errors(
-                        chunk, mask, policy_index, rng_legacy, sampler=sampler):
+                for progress, squared in _legacy_window_errors(
+                        fitted, chunk, mask, policy_index, rng_legacy, sampler):
                     if progress not in legacy:
                         legacy[progress] = np.zeros(
                             (batch,) + squared.shape[1:])
@@ -197,6 +274,46 @@ class TestSerialScoreReducer:
         for progress in legacy:
             assert np.array_equal(totals[progress], legacy[progress])
         assert rng_legacy.bit_generator.state == rng_spec.bit_generator.state
+
+    @pytest.mark.parametrize("overrides", [
+        {},
+        dict(sampler="ddim", num_inference_steps=2, ddim_eta=0.5),
+        dict(deterministic_inference=True, collect="x0"),
+    ], ids=["full", "ddim-eta0.5", "deterministic-x0"])
+    def test_score_equals_the_frozen_inline_loop(self, overrides):
+        train = np.random.default_rng(0).standard_normal((120, 3))
+        # 61 points over a stride that does not divide it: the tail is
+        # covered by fewer windows, so the coverage normalisation varies.
+        test = np.random.default_rng(1).standard_normal((61, 3))
+        detector = ImDiffusionDetector(_config(**overrides)).fit(train)
+        twin = pickle.loads(pickle.dumps(detector))
+
+        scores = detector.score(test)
+        legacy, coverage = _legacy_score(twin, test)
+
+        assert len(set(coverage.tolist())) > 1
+        assert list(scores) == list(legacy)
+        assert list(scores) == list(range(1, len(legacy) + 1))
+        for progress in legacy:
+            assert np.array_equal(scores[progress], legacy[progress])
+        assert (detector._rng.bit_generator.state
+                == twin._rng.bit_generator.state)
+
+    @pytest.mark.parametrize("overrides", [
+        {}, dict(sampler="ddim", num_inference_steps=2, ddim_eta=0.5),
+    ], ids=["full", "ddim-eta0.5"])
+    def test_holdout_error_equals_the_frozen_loop(self, overrides):
+        train = np.random.default_rng(0).standard_normal((120, 3))
+        series = np.random.default_rng(2).standard_normal((61, 3))
+        detector = ImDiffusionDetector(_config(**overrides)).fit(train)
+        twin = pickle.loads(pickle.dumps(detector))
+        state_before = detector._rng.bit_generator.state
+
+        value = detector.holdout_error(series, seed=4)
+
+        assert value == _legacy_holdout_error(twin, series, seed=4)
+        # The local CRN generator is the only one consumed.
+        assert detector._rng.bit_generator.state == state_before
 
     def test_custom_on_result_sees_plan_order(self, fitted):
         windows = _windows(fitted, count=6)

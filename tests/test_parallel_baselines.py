@@ -1,13 +1,14 @@
-"""Universal baseline parallelism: the five newly spec-factored detectors.
+"""Universal baseline parallelism: the five spec-factored GAN/VAE/graph detectors.
 
-Every detector that gained a :class:`~repro.training.ParallelLossSpec` in the
-registry/parallelism refactor is held to the engine-wide contract:
+Every detector whose loss spec replaced a single-process closure is held to
+the engine-wide contract:
 
-* ``_force_parallel_spec`` at ``num_workers=1`` (SpecReducer, no processes)
-  is **bit-identical** to the frozen serial closure — parameters, loss
-  curves and the random stream all match exactly,
-* ``num_workers=2`` (spawned gradient workers) agrees with the serial run up
-  to float summation order in the shard-gradient average,
+* the spec path at ``num_workers=1`` (SpecReducer, no processes) is
+  **bit-identical** to the frozen closure in
+  ``tests/frozen_training_loops.py`` — parameters (the adversary's too),
+  train and validation curves and the random stream all match exactly,
+* ``num_workers=2`` (spawned gradient workers) agrees with the one-worker
+  run up to float summation order in the shard-gradient average,
 * for the GAN pair the *discriminator* weights must agree too: the
   adversary-gradient reduction steps the parent's discriminator optimizer
   between the two rounds of every batch.
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from frozen_training_loops import all_parameters, legacy_fit
 
 from repro.baselines import (
     BeatGANDetector,
@@ -55,47 +57,51 @@ CASES = {
 }
 
 
-def _fit(name, *, num_workers=1, force_spec=False):
+def _fit(name, *, num_workers=1, frozen=False, **overrides):
     cls, kwargs = CASES[name]
-    detector = cls(num_workers=num_workers, **kwargs)
-    if force_spec:
-        detector._force_parallel_spec = True
+    detector = cls(num_workers=num_workers, **{**kwargs, **overrides})
+    if frozen:
+        return legacy_fit(detector, _series())
     return detector.fit(_series())
-
-
-def _all_parameters(detector):
-    parameters = list(detector._trainer_parameters())
-    if getattr(type(detector), "_adversary_loss_method", None) is not None:
-        parameters += list(detector._adversary_parameters())
-    return parameters
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 class TestSpecBitIdentity:
-    """Spec path at one worker vs the frozen serial closure: bitwise equal."""
+    """Spec path at one worker vs the frozen closure: bitwise equal."""
 
     def test_parameters_and_losses_bit_identical(self, name):
-        serial = _fit(name)
-        spec = _fit(name, force_spec=True)
-        for a, b in zip(_all_parameters(serial), _all_parameters(spec)):
+        frozen = _fit(name, frozen=True)
+        spec = _fit(name)
+        for a, b in zip(all_parameters(frozen), all_parameters(spec)):
             np.testing.assert_array_equal(b.data, a.data)
-        assert spec.train_losses == serial.train_losses
+        assert spec.train_losses == frozen.train_losses
 
     def test_rng_stream_position_unchanged(self, name):
-        serial = _fit(name)
-        spec = _fit(name, force_spec=True)
-        assert (spec.rng.standard_normal(4).tolist()
-                == serial.rng.standard_normal(4).tolist())
+        frozen = _fit(name, frozen=True)
+        spec = _fit(name)
+        assert (spec.rng.bit_generator.state
+                == frozen.rng.bit_generator.state)
+
+    def test_validation_curve_bit_identical(self, name):
+        frozen = _fit(name, frozen=True, validation_fraction=0.25)
+        spec = _fit(name, validation_fraction=0.25)
+        assert len(spec.val_losses) == CASES[name][1]["epochs"]
+        assert spec.val_losses == frozen.val_losses
+        assert spec.train_losses == frozen.train_losses
+        for a, b in zip(all_parameters(frozen), all_parameters(spec)):
+            np.testing.assert_array_equal(b.data, a.data)
+        assert (spec.rng.bit_generator.state
+                == frozen.rng.bit_generator.state)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 class TestWorkerInvariance:
-    """Two spawned workers vs serial: equal up to gradient summation order."""
+    """Two spawned workers vs one: equal up to gradient summation order."""
 
     def test_two_workers_match_serial(self, name):
         serial = _fit(name)
         parallel = _fit(name, num_workers=2)
-        for a, b in zip(_all_parameters(serial), _all_parameters(parallel)):
+        for a, b in zip(all_parameters(serial), all_parameters(parallel)):
             np.testing.assert_allclose(b.data, a.data, rtol=1e-8, atol=1e-10)
         np.testing.assert_allclose(parallel.train_losses, serial.train_losses,
                                    rtol=1e-8, atol=1e-10)

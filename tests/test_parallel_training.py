@@ -2,8 +2,8 @@
 
 The determinism contract under test:
 
-* ``ParallelTrainer(num_workers=1)`` is **bit-identical** to the serial
-  ``Trainer`` over the equivalent loss closure (same parameters, losses,
+* ``Trainer(spec, num_workers=1)`` is **bit-identical** to a hand-rolled
+  loop over the equivalent pre-spec loss closure (same parameters, losses,
   optimizer moments and random stream),
 * for ``num_workers > 1`` the random stream is unchanged (all draws happen
   in the parent before sharding) and parameters agree with the serial run up
@@ -19,6 +19,7 @@ import pickle
 
 import numpy as np
 import pytest
+from frozen_training_loops import hand_rolled_fit
 
 from repro import ImDiffusionConfig, ImDiffusionDetector
 from repro.baselines import LSTMADDetector, MADGANDetector, MSCREDDetector
@@ -32,8 +33,7 @@ from repro.training import (
     Checkpoint,
     MethodLossSpec,
     MultiprocessReducer,
-    ParallelTrainer,
-    SerialReducer,
+    SpecReducer,
     Trainer,
     WindowLoader,
 )
@@ -91,7 +91,7 @@ class TestShardBounds:
 
 
 # ---------------------------------------------------------------------------
-# The loss-spec contract: draw o compute == the serial closure
+# The loss-spec contract: draw o compute == the pre-spec closure
 # ---------------------------------------------------------------------------
 class TestImputationLossSpec:
     def test_spec_equals_legacy_closure_bitwise(self):
@@ -157,7 +157,7 @@ class TestImputationLossSpec:
 # Bit-identity at num_workers=1
 # ---------------------------------------------------------------------------
 class TestSingleWorkerBitIdentity:
-    def test_parallel_trainer_equals_serial_trainer(self):
+    def test_spec_trainer_equals_hand_rolled_closure_loop(self):
         rng_a, imputer_a, masks_arr, windows = _imputation_stack()
         num_policies = masks_arr.shape[0]
 
@@ -168,19 +168,19 @@ class TestSingleWorkerBitIdentity:
 
         params_a = imputer_a.model.parameters()
         optimizer_a = Adam(params_a, lr=1e-3)
-        serial = Trainer(params_a, optimizer_a, legacy_loss, grad_clip=5.0,
-                         rng=rng_a)
-        serial.fit(WindowLoader(windows, batch_size=8, rng=rng_a), epochs=3)
+        legacy_losses, _ = hand_rolled_fit(
+            params_a, optimizer_a, legacy_loss,
+            WindowLoader(windows, batch_size=8, rng=rng_a), 3, grad_clip=5.0)
 
         rng_b, imputer_b, _, _ = _imputation_stack()
         spec = ImputationLossSpec(imputer_b, masks_arr)
         params_b = imputer_b.model.parameters()
         optimizer_b = Adam(params_b, lr=1e-3)
-        parallel = ParallelTrainer(params_b, optimizer_b, spec, num_workers=1,
-                                   grad_clip=5.0, rng=rng_b)
-        parallel.fit(WindowLoader(windows, batch_size=8, rng=rng_b), epochs=3)
+        trainer = Trainer(params_b, optimizer_b, spec, num_workers=1,
+                          grad_clip=5.0, rng=rng_b)
+        trainer.fit(WindowLoader(windows, batch_size=8, rng=rng_b), epochs=3)
 
-        assert serial.state.epoch_losses == parallel.state.epoch_losses
+        assert legacy_losses == trainer.state.epoch_losses
         for a, b in zip(params_a, params_b):
             assert np.array_equal(a.data, b.data)
         scalars_a, arrays_a = optimizer_a.state_dict()
@@ -194,16 +194,16 @@ class TestSingleWorkerBitIdentity:
         _, imputer, masks_arr, _ = _imputation_stack()
         spec = ImputationLossSpec(imputer, masks_arr)
         params = imputer.model.parameters()
-        trainer = ParallelTrainer(params, Adam(params, lr=1e-3), spec,
-                                  num_workers=1)
-        assert not isinstance(trainer.reducer, MultiprocessReducer)
+        trainer = Trainer(params, Adam(params, lr=1e-3), spec)
+        assert isinstance(trainer.reducer, SpecReducer)
+        assert trainer.num_workers == 1
 
     def test_num_workers_must_be_positive(self):
         _, imputer, masks_arr, _ = _imputation_stack()
         spec = ImputationLossSpec(imputer, masks_arr)
         params = imputer.model.parameters()
         with pytest.raises(ValueError, match="num_workers"):
-            ParallelTrainer(params, Adam(params, lr=1e-3), spec, num_workers=0)
+            Trainer(params, Adam(params, lr=1e-3), spec, num_workers=0)
         with pytest.raises(ValueError, match="at least 2"):
             MultiprocessReducer(spec, num_workers=1)
 
@@ -314,10 +314,8 @@ class TestBaselineParallelism:
         detector = IsolationForestDetector(seed=0)
         detector.num_workers = 2  # IForest takes no num_workers knob
         assert not detector.supports_parallel
-        dummy = Tensor(np.zeros(2), requires_grad=True)
         with pytest.raises(ValueError, match="no gradient"):
-            detector._run_trainer([dummy], lambda batch, state: None,
-                                  (np.zeros((4, 2)),),
+            detector._run_trainer((np.zeros((4, 2)),),
                                   epochs=1, batch_size=2, learning_rate=1e-3)
 
     def test_every_detector_declares_parallel_support(self):
@@ -418,26 +416,12 @@ class TestTransport:
 # The reducer seam
 # ---------------------------------------------------------------------------
 class TestReducerSeam:
-    def test_default_trainer_uses_serial_reducer(self):
-        def loss_fn(batch, state):
-            return (Tensor(batch.data, requires_grad=False) * 0.0).sum()
-
-        weight = Tensor(np.ones(2), requires_grad=True)
-        trainer = Trainer([weight], Adam([weight], lr=0.1), loss_fn)
-        assert isinstance(trainer.reducer, SerialReducer)
-
-    def test_trainer_requires_loss_or_reducer(self):
-        weight = Tensor(np.ones(2), requires_grad=True)
-        with pytest.raises(ValueError, match="loss_fn or a reducer"):
-            Trainer([weight], Adam([weight], lr=0.1), loss_fn=None)
-
     def test_worker_error_propagates_with_traceback(self):
         _, imputer, masks_arr, windows = _imputation_stack()
         spec = ImputationLossSpec(imputer, np.ones_like(masks_arr))  # no masked region
         params = imputer.model.parameters()
-        trainer = ParallelTrainer(params, Adam(params, lr=1e-3), spec,
-                                  num_workers=2,
-                                  rng=np.random.default_rng(0))
+        trainer = Trainer(params, Adam(params, lr=1e-3), spec, num_workers=2,
+                          rng=np.random.default_rng(0))
         with pytest.raises(RuntimeError, match="gradient worker failed"):
             trainer.fit(WindowLoader(windows, batch_size=8,
                                      rng=trainer.rng), epochs=1)

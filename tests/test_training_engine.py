@@ -25,6 +25,7 @@ from repro.training import (
     LambdaCallback,
     LossHistory,
     LRSchedule,
+    ParallelLossSpec,
     Trainer,
     WindowLoader,
 )
@@ -178,18 +179,27 @@ def _toy_problem(seed=0, num_samples=64, noise=0.0):
     return inputs, targets
 
 
+class _LinearMSE(ParallelLossSpec):
+    """Mean-squared error of a linear model over ``(inputs, targets)`` batches."""
+
+    def __init__(self, model):
+        self.model = model
+
+    def build(self):
+        return self.model.parameters()
+
+    def compute(self, batch, payload, state):
+        batch_inputs, batch_targets = batch
+        return F.mse_loss(self.model(Tensor(batch_inputs)), Tensor(batch_targets))
+
+
 def _toy_trainer(seed=0, lr=0.05, callbacks=(), noise=0.0, grad_clip=None):
     rng = np.random.default_rng(seed)
     model = Linear(3, 1, rng=rng)
     inputs, targets = _toy_problem(seed, noise=noise)
     loader = WindowLoader(inputs, targets, batch_size=16, rng=rng)
     optimizer = Adam(model.parameters(), lr=lr)
-
-    def loss_fn(batch, state):
-        batch_inputs, batch_targets = batch
-        return F.mse_loss(model(Tensor(batch_inputs)), Tensor(batch_targets))
-
-    trainer = Trainer(model.parameters(), optimizer, loss_fn,
+    trainer = Trainer(model.parameters(), optimizer, _LinearMSE(model),
                       grad_clip=grad_clip, callbacks=list(callbacks), rng=rng)
     return trainer, loader, model, optimizer
 
@@ -232,7 +242,7 @@ class TestTrainer:
         with pytest.raises(ValueError):
             rng = np.random.default_rng(0)
             model = Linear(2, 1, rng=rng)
-            Trainer([], Adam(model.parameters(), lr=0.1), lambda b, s: None)
+            Trainer([], Adam(model.parameters(), lr=0.1), _LinearMSE(model))
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +430,7 @@ class TestCheckpointResume:
         other_model = Linear(5, 1, rng=rng)
         other = Trainer(other_model.parameters(),
                         Adam(other_model.parameters(), lr=0.1),
-                        lambda b, s: None, rng=rng)
+                        _LinearMSE(other_model), rng=rng)
         with pytest.raises((ValueError, KeyError)):
             other.load_state_dict(arrays, metadata)
 

@@ -22,6 +22,7 @@ from repro.nn.serialization import load_checkpoint
 from repro.training import (
     Checkpoint,
     EarlyStopping,
+    ParallelLossSpec,
     Trainer,
     WindowLoader,
     monitored_loss,
@@ -177,6 +178,20 @@ class TestTailSplit:
 # ---------------------------------------------------------------------------
 # Trainer.validate_fn
 # ---------------------------------------------------------------------------
+class _LinearMSE(ParallelLossSpec):
+    """Mean-squared error of a linear model over ``(inputs, targets)`` batches."""
+
+    def __init__(self, model):
+        self.model = model
+
+    def build(self):
+        return self.model.parameters()
+
+    def compute(self, batch, payload, state):
+        batch_inputs, batch_targets = batch
+        return F.mse_loss(self.model(Tensor(batch_inputs)), Tensor(batch_targets))
+
+
 def _toy_trainer(seed=0, lr=0.05, callbacks=(), validate_fn=None, noise=0.0):
     rng = np.random.default_rng(seed)
     model = Linear(3, 1, rng=rng)
@@ -186,12 +201,7 @@ def _toy_trainer(seed=0, lr=0.05, callbacks=(), validate_fn=None, noise=0.0):
         targets = targets + noise * rng.standard_normal(targets.shape)
     loader = WindowLoader(inputs, targets, batch_size=16, rng=rng)
     optimizer = Adam(model.parameters(), lr=lr)
-
-    def loss_fn(batch, state):
-        batch_inputs, batch_targets = batch
-        return F.mse_loss(model(Tensor(batch_inputs)), Tensor(batch_targets))
-
-    trainer = Trainer(model.parameters(), optimizer, loss_fn,
+    trainer = Trainer(model.parameters(), optimizer, _LinearMSE(model),
                       callbacks=list(callbacks), rng=rng, validate_fn=validate_fn)
     return trainer, loader, model
 
