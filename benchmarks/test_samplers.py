@@ -9,8 +9,8 @@ Three properties of the fast-sampler zoo are validated and recorded:
   full sampler,
 * the cached transition tables: a per-step microbenchmark of the sampler
   transition with the precomputed table against the legacy gather-per-step
-  path (schedule lookups + scalar ``sqrt`` inside the loop).  The cached
-  path must be a real win,
+  rules (schedule lookups + scalar ``sqrt`` inside the loop), frozen in
+  ``tests/frozen_reverse_process.py``.  The cached path must be a real win,
 * two bit-identity regressions, printed as greppable lines for CI:
   eta=0 DDIM must equal the strided jump rule exactly, and stride 1 must
   equal the full trajectory exactly.
@@ -41,6 +41,7 @@ from repro.diffusion import (
     quadratic_beta_schedule,
 )
 from repro.evaluation import evaluate_labels
+from tests.frozen_reverse_process import frozen_step
 
 from ._helpers import print_header, run_once
 
@@ -177,16 +178,16 @@ def test_cached_table_inner_loop_speedup(benchmark):
     repeats = 400
 
     def walk_legacy():
+        # The frozen table=None rules: schedule gathers + sqrt every step.
         for i, t in enumerate(trajectory):
             t_prev = trajectory[i + 1] if i + 1 < len(trajectory) else 0
-            sampler.step(diffusion, x_t, t, t_prev, eps, deterministic=True)
+            frozen_step(sampler, diffusion, x_t, t, t_prev, eps,
+                        deterministic=True)
 
     def walk_table():
-        table = diffusion.transition_table(trajectory, eta=sampler.eta)
-        for i, t in enumerate(trajectory):
-            t_prev = trajectory[i + 1] if i + 1 < len(trajectory) else 0
-            sampler.step(diffusion, x_t, t, t_prev, eps, deterministic=True,
-                         table=table, index=i)
+        table = sampler.transition_table(diffusion)
+        for i in range(len(table)):
+            sampler.step(table, i, x_t, eps)
 
     def run():
         walk_legacy(), walk_table()  # warm-up (also builds + caches the table)

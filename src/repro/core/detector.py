@@ -474,21 +474,17 @@ class ImDiffusionDetector:
                 with no_grad():
                     for batch in val_loader:
                         policies = rng.integers(0, num_policies, size=batch.size)
-                        if config.validation_antithetic:
-                            # draw_training_noise makes exactly the draws
-                            # training_loss(rng) would, so the CRN stream is
-                            # bit-identical with the flag on or off.
-                            steps, noise = self._imputer.draw_training_noise(
-                                batch.data, rng)
-                            value = antithetic_loss(
-                                lambda s, z: float(self._imputer.training_loss(
-                                    batch.data, masks_arr[policies], policies,
-                                    steps=s, noise=z).data),
-                                steps, noise)
-                        else:
-                            value = float(self._imputer.training_loss(
+                        steps, noise = self._imputer.draw_training_noise(
+                            batch.data, rng)
+
+                        def loss(s, z):
+                            return float(self._imputer.training_loss(
                                 batch.data, masks_arr[policies], policies,
-                                rng).data)
+                                steps=s, noise=z).data)
+
+                        value = (antithetic_loss(loss, steps, noise)
+                                 if config.validation_antithetic
+                                 else loss(steps, noise))
                         total += value * batch.size
                         count += batch.size
             finally:

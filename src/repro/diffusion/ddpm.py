@@ -37,10 +37,12 @@ class TransitionTable:
     this table hoists all of it into a single vectorised precomputation so a
     reverse step reduces to indexed scalar-times-array arithmetic.
 
-    Every coefficient is produced by *exactly* the float expression the
-    un-cached code path evaluates (same operand order, same operations), so
-    sampling through the table is bitwise identical to sampling without it —
-    the equivalence the cross-sampler test suite pins down.
+    Every reverse transition reads its coefficients from this table; there
+    is no other path.  Each coefficient is the float expression of the
+    :class:`GaussianDiffusion` closed forms (``posterior_mean_from_eps``,
+    ``p_sample``, ``predict_x0_from_eps``) with the same operand order, so a
+    tabled step matches the closed form bit for bit — the equivalence the
+    sampler test suites check against those closed forms.
 
     Attributes
     ----------
@@ -229,10 +231,10 @@ class GaussianDiffusion:
         With array-valued ``t`` every sample takes its own reverse step; rows
         at ``t == 1`` receive the posterior mean without added noise, exactly
         as in the scalar case.  ``noise`` optionally injects the transition's
-        standard-normal draw (shape of ``x_t``); supplying the same values the
-        internal draw would have produced is bit-identical to drawing here —
-        this is how the sharded inference engine pre-draws all randomness in
-        the parent process.
+        standard-normal draw (shape of ``x_t``).  This is the closed-form
+        reference the table-driven :meth:`ReverseSampler.step
+        <repro.diffusion.ReverseSampler.step>` is checked against; the
+        reverse loop itself never calls it.
         """
         mean = self.posterior_mean_from_eps(x_t, t, eps)
         t_arr = np.asarray(t)
@@ -248,9 +250,8 @@ class GaussianDiffusion:
         shape = t_arr.shape + (1,) * (np.ndim(x_t) - 1)
         return mean + np.reshape(sigma * keep, shape) * noise
 
-    def prior_sample(self, shape: Tuple[int, ...], rng: Optional[np.random.Generator] = None) -> np.ndarray:
+    def prior_sample(self, shape: Tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
         """Sample ``x_T`` from the standard-normal prior."""
-        rng = rng or np.random.default_rng()
         return rng.standard_normal(shape)
 
     # ------------------------------------------------------------------

@@ -12,12 +12,19 @@ masking strategy to perform *time-series imputation by diffusion*:
 
 The class operates on windows of shape ``(batch, window_length, num_features)``
 with observation masks of the same shape (1 = observed, 0 = masked).
+
+Randomness is drawn in exactly two places: :meth:`ImputedDiffusion
+.draw_training_noise` (timesteps and forward noise of the Eq. (11) loss) and
+:meth:`ImputedDiffusion.draw_impute_noise` (every draw of one reverse pass,
+bundled as an :class:`ImputeNoise`).  ``training_loss`` and ``impute`` given
+an ``rng`` call these and then run the same rng-free code as a caller that
+passes the draws in, so there is one reverse loop and one loss.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -62,13 +69,11 @@ class ImputationResult:
 class ImputeNoise:
     """Pre-drawn randomness of one :meth:`ImputedDiffusion.impute` call.
 
-    Produced by :meth:`ImputedDiffusion.draw_impute_noise` with exactly the
-    draws — same order, same shapes — that :meth:`~ImputedDiffusion.impute`
-    makes internally, so a caller can draw once on a shared generator and run
-    the reverse process rng-free (the sharded inference engine draws in the
-    parent and computes in scoring workers).  All arrays are in the model's
-    native ``(batch, K, L)`` layout; :meth:`shard` slices every component
-    along the batch axis so a payload shards alongside its windows.
+    Produced by :meth:`ImputedDiffusion.draw_impute_noise`, the one place
+    the reverse process draws, and consumed by
+    :meth:`~ImputedDiffusion.impute`, which runs rng-free on it (the sharded
+    inference engine draws in the parent and computes in scoring workers).
+    All arrays are in the model's native ``(batch, K, L)`` layout.
 
     Attributes
     ----------
@@ -93,15 +98,6 @@ class ImputeNoise:
     @property
     def batch_size(self) -> int:
         return int(self.prior.shape[0])
-
-    def shard(self, start: int, stop: int) -> "ImputeNoise":
-        """The payload restricted to batch rows ``start:stop`` (zero-copy views)."""
-        return ImputeNoise(
-            prior=self.prior[start:stop],
-            reference=[draw[start:stop] for draw in self.reference],
-            transition=[None if draw is None else draw[start:stop]
-                        for draw in self.transition],
-        )
 
 
 class ImputedDiffusion:
@@ -138,13 +134,13 @@ class ImputedDiffusion:
     # ------------------------------------------------------------------
     def draw_training_noise(self, windows: np.ndarray, rng: np.random.Generator
                             ) -> Tuple[np.ndarray, np.ndarray]:
-        """Pre-draw the ``(steps, noise)`` randomness of :meth:`training_loss`.
+        """Draw the ``(steps, noise)`` randomness of :meth:`training_loss`.
 
-        Makes exactly the draws — in the same order and shapes — that
-        :meth:`training_loss` makes internally, so a caller can draw once on
-        a shared generator and evaluate the loss rng-free (the data-parallel
-        engine draws in the parent and computes in the workers).  ``noise``
-        is returned in the model's native ``(batch, K, L)`` layout.
+        The only place the loss's randomness is drawn: ``training_loss(rng)``
+        calls it, and a caller can call it once on a shared generator and
+        evaluate the loss rng-free (the data-parallel engine draws in the
+        parent and computes in the workers).  ``noise`` is returned in the
+        model's native ``(batch, K, L)`` layout.
         """
         windows = np.asarray(windows, dtype=np.float64)
         steps = self.diffusion.sample_timesteps(windows.shape[0], rng)
@@ -167,10 +163,9 @@ class ImputedDiffusion:
         policies:
             Masking-policy indices ``p`` of shape ``(batch,)``.
         rng:
-            Generator for the timestep/noise draws.  May be omitted when both
-            ``steps`` and ``noise`` are supplied pre-drawn (see
-            :meth:`draw_training_noise`); injecting the same draws is
-            bit-identical to drawing them here.
+            Generator the timestep/noise draws are made from through
+            :meth:`draw_training_noise`; may be omitted when both ``steps``
+            and ``noise`` are given.
         steps, noise:
             Pre-drawn diffusion timesteps ``(batch,)`` and forward noise in
             ``(batch, K, L)`` layout.
@@ -179,7 +174,6 @@ class ImputedDiffusion:
         masks = np.asarray(masks, dtype=np.float64)
         if windows.shape != masks.shape:
             raise ValueError("windows and masks must have the same shape")
-        batch = windows.shape[0]
 
         # Work in (batch, K, L) layout, the model's native orientation.
         x0 = windows.transpose(0, 2, 1)
@@ -191,8 +185,7 @@ class ImputedDiffusion:
                 raise ValueError(
                     "training_loss needs an rng unless steps and noise are pre-drawn"
                 )
-            steps = self.diffusion.sample_timesteps(batch, rng)
-            noise = rng.standard_normal(x0.shape)
+            steps, noise = self.draw_training_noise(windows, rng)
         alpha_bars = self.diffusion.schedule.alpha_bars[steps - 1][:, None, None]
         x_t = np.sqrt(alpha_bars) * x0 + np.sqrt(1.0 - alpha_bars) * noise
 
@@ -209,29 +202,29 @@ class ImputedDiffusion:
     def draw_impute_noise(self, windows: np.ndarray, rng: np.random.Generator,
                           sampler: Optional[ReverseSampler] = None,
                           deterministic: bool = False) -> ImputeNoise:
-        """Pre-draw every random draw of one :meth:`impute` call.
+        """Draw every random number of one :meth:`impute` call.
 
-        Makes exactly the draws — in the same order and shapes — that
-        :meth:`impute` makes internally for the same ``(windows, sampler,
-        deterministic)`` triple: the ``x_T`` prior, then per visited step the
-        reference-channel noise and (when that step's transition samples) the
-        reverse-transition noise.  Injecting the result via ``impute(...,
-        noise=...)`` is bit-identical to letting ``impute`` draw from the
-        same generator state.
+        The draws, in order: the ``x_T`` prior, then per visited step the
+        reference-channel noise and, when the sampler's
+        :meth:`~repro.diffusion.ReverseSampler.samples_noise` says that
+        step's transition samples, the reverse-transition noise.  This is
+        the only place the reverse process draws: ``impute(..., rng)`` calls
+        it and then runs on the payload, so drawing here and passing
+        ``noise=`` leaves the generator in the same state with the same
+        result.
         """
         sampler = sampler or FullReverseSampler()
         windows = np.asarray(windows, dtype=np.float64)
         kl_shape = windows.transpose(0, 2, 1).shape
         prior = self.diffusion.prior_sample(kl_shape, rng)
-        trajectory = sampler.trajectory(self.diffusion.num_steps)
+        table = sampler.transition_table(self.diffusion)
         reference: List[np.ndarray] = []
         transition: List[Optional[np.ndarray]] = []
-        for i, t in enumerate(trajectory):
-            t_prev = trajectory[i + 1] if i + 1 < len(trajectory) else 0
+        for t, t_prev in zip(table.steps, table.prev_steps):
             reference.append(rng.standard_normal(kl_shape))
             # The sampler itself declares which transitions consume a draw
-            # (adjacent DDPM steps, stochastic eta > 0 jumps, ...), keeping
-            # this pre-draw in lockstep with the draws `impute` makes.
+            # (adjacent DDPM steps, stochastic eta > 0 jumps, ...); its step
+            # adds noise exactly when handed a draw.
             if sampler.samples_noise(t, t_prev, deterministic):
                 transition.append(rng.standard_normal(kl_shape))
             else:
@@ -255,6 +248,9 @@ class ImputedDiffusion:
             Ground-truth windows ``(batch, window_length, num_features)``; the
             observed positions are used as context (directly or through their
             forward noise), the masked positions are re-generated from noise.
+        rng:
+            Generator the pass's randomness is drawn from through
+            :meth:`draw_impute_noise`; may be ``None`` when ``noise`` is given.
         collect:
             ``"sample"`` collects the partially denoised sample ``x_{t-1}`` at
             every step (Algorithm 1 of the paper); ``"x0"`` collects the
@@ -268,10 +264,9 @@ class ImputedDiffusion:
             identical to the pre-engine loop).  A strided sampler visits a
             subsequence, cutting denoiser calls proportionally.
         noise:
-            Pre-drawn randomness from :meth:`draw_impute_noise`, making the
-            pass rng-free (``rng`` may then be ``None``).  Injecting the
-            draws the internal path would have made is bit-identical to
-            drawing them here.
+            Pre-drawn randomness from :meth:`draw_impute_noise` for the same
+            ``(windows, sampler, deterministic)``; the pass then draws
+            nothing.
         """
         if collect not in ("sample", "x0"):
             raise ValueError("collect must be 'sample' or 'x0'")
@@ -279,9 +274,12 @@ class ImputedDiffusion:
         windows = np.asarray(windows, dtype=np.float64)
         masks = np.asarray(masks, dtype=np.float64)
         batch = windows.shape[0]
-        if noise is None and rng is None:
-            raise ValueError("impute needs an rng unless noise is pre-drawn")
-        if noise is not None and noise.batch_size != batch:
+        if noise is None:
+            if rng is None:
+                raise ValueError("impute needs an rng unless noise is pre-drawn")
+            noise = self.draw_impute_noise(windows, rng, sampler=sampler,
+                                           deterministic=deterministic)
+        elif noise.batch_size != batch:
             raise ValueError(
                 f"noise payload covers {noise.batch_size} windows, got {batch}")
 
@@ -289,35 +287,27 @@ class ImputedDiffusion:
         observed = masks.transpose(0, 2, 1)
         target_region = 1.0 - observed
 
-        prior = (noise.prior if noise is not None
-                 else self.diffusion.prior_sample(x0.shape, rng))
-        x_t = prior * target_region
+        x_t = noise.prior * target_region
         intermediate: List[Tuple[int, np.ndarray]] = []
-        trajectory = sampler.trajectory(self.diffusion.num_steps)
-        # Hoist the per-step schedule gathers / sqrt work out of the loop:
-        # the cached table turns every transition into indexed
-        # scalar-times-array arithmetic (bit-identical to the direct path).
-        table = self.diffusion.transition_table(trajectory, eta=sampler.eta)
+        # The cached table turns every transition into indexed
+        # scalar-times-array arithmetic: no per-step schedule gathers.
+        table = sampler.transition_table(self.diffusion)
         sampler_state = sampler.init_state()
 
         with no_grad():
-            for i, t in enumerate(trajectory):
-                t_prev = trajectory[i + 1] if i + 1 < len(trajectory) else 0
+            for i, t in enumerate(table.steps):
                 steps = np.full(batch, t, dtype=np.int64)
-                step_noise = (noise.reference[i] if noise is not None
-                              else rng.standard_normal(x0.shape))
-                reference = self._reference_channel(x0, observed, step_noise)
+                reference = self._reference_channel(x0, observed,
+                                                    noise.reference[i])
                 model_input = self._build_input(x_t * target_region, reference)
                 predicted_eps = self.model(model_input, steps, policies).data
 
                 if collect == "x0":
                     estimate = (x_t - table.sqrt_one_minus_alpha_bar[i]
                                 * predicted_eps) / table.sqrt_alpha_bar[i]
-                x_prev = sampler.step(self.diffusion, x_t, t, t_prev, predicted_eps,
-                                      rng=rng, deterministic=deterministic,
-                                      noise=(noise.transition[i]
-                                             if noise is not None else None),
-                                      table=table, index=i, state=sampler_state)
+                x_prev = sampler.step(table, i, x_t, predicted_eps,
+                                      noise=noise.transition[i],
+                                      state=sampler_state)
                 x_prev = x_prev * target_region
                 if collect == "sample":
                     estimate = x_prev
@@ -328,19 +318,3 @@ class ImputedDiffusion:
 
         final = (x_t * target_region + x0 * observed).transpose(0, 2, 1)
         return ImputationResult(final=final, intermediate=intermediate)
-
-    # ------------------------------------------------------------------
-    def imputation_error(self, windows: np.ndarray, result: ImputationResult,
-                         masks: np.ndarray) -> Dict[int, np.ndarray]:
-        """Squared imputation error per step, restricted to the masked region.
-
-        Returns a mapping ``step -> error`` with error arrays of shape
-        ``(batch, window_length, num_features)``; observed positions are zero.
-        """
-        windows = np.asarray(windows, dtype=np.float64)
-        masks = np.asarray(masks, dtype=np.float64)
-        target_region = 1.0 - masks
-        errors: Dict[int, np.ndarray] = {}
-        for step, estimate in result.intermediate:
-            errors[step] = ((estimate - windows) ** 2) * target_region
-        return errors

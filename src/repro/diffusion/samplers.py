@@ -38,10 +38,13 @@ Scoring cost scales linearly with the trajectory length, so ``n`` inference
 steps cut denoiser calls by ``T / n`` at a modest accuracy cost (the
 speed/accuracy knob exposed as ``sampler=`` / ``num_inference_steps=`` /
 ``ddim_eta=`` / ``stride_spacing=`` in :class:`repro.core.ImDiffusionConfig`).
-The per-step schedule gathers and ``sqrt`` work are hoisted into a cached
-:class:`~repro.diffusion.TransitionTable` (see
-:meth:`GaussianDiffusion.transition_table`), which ``imputation.impute``
-threads through :meth:`ReverseSampler.step`.
+Every transition reads its coefficients from the sampler's cached
+:class:`~repro.diffusion.TransitionTable` (see :meth:`transition_table`):
+:meth:`ReverseSampler.step` is a pure function of ``(table, index, x_t,
+eps, noise, state)`` and draws nothing.  Which transitions sample is
+decided in one place, :meth:`ReverseSampler.samples_noise`;
+:meth:`ImputedDiffusion.draw_impute_noise` draws exactly those, and a step
+handed ``noise=None`` is the noise-free transition.
 """
 
 from __future__ import annotations
@@ -154,12 +157,12 @@ class ReverseSampler:
     def samples_noise(self, t: int, t_prev: int, deterministic: bool) -> bool:
         """Whether the ``t -> t_prev`` transition consumes a standard-normal draw.
 
-        This is the contract :meth:`ImputedDiffusion.draw_impute_noise` uses
-        to pre-draw transition noise in exactly the order :meth:`step`
-        consumes it — keep it in sync with :meth:`step`'s noise use or the
-        sharded engine's bit-identity breaks.  The base rule covers the
-        DDPM-posterior samplers: adjacent non-terminal transitions sample,
-        everything else is noise-free.
+        The one place that decides which transitions sample:
+        :meth:`ImputedDiffusion.draw_impute_noise` draws a transition's noise
+        exactly when this returns True, and :meth:`step` adds noise exactly
+        when it is handed some.  The base rule covers the DDPM-posterior
+        samplers: adjacent non-terminal transitions sample, everything else
+        is noise-free.
         """
         return (not deterministic) and t_prev == t - 1 and t > 1
 
@@ -172,65 +175,40 @@ class ReverseSampler:
         return diffusion.transition_table(self.trajectory(diffusion.num_steps),
                                           eta=self.eta)
 
-    def step(self, diffusion: GaussianDiffusion, x_t: np.ndarray, t: int, t_prev: int,
-             eps: np.ndarray, rng: Optional[np.random.Generator] = None,
-             deterministic: bool = False,
-             noise: Optional[np.ndarray] = None,
-             table: Optional[TransitionTable] = None,
-             index: Optional[int] = None,
+    def step(self, table: TransitionTable, index: int, x_t: np.ndarray,
+             eps: np.ndarray, noise: Optional[np.ndarray] = None,
              state: Optional[dict] = None) -> np.ndarray:
         """Produce ``x_{t_prev}`` from ``x_t`` and the predicted noise at ``t``.
 
-        ``t_prev`` is the next visited step (0 terminates the trajectory).
-        ``noise`` optionally injects the transition's standard-normal draw
-        for steps that sample one (see :meth:`samples_noise`); transitions
-        that are noise-free by construction ignore it.  ``table``/``index``
-        optionally supply the cached :class:`TransitionTable` entry of this
-        transition — the fast path ``impute`` uses, bit-identical to the
-        direct computation.  ``state`` is the dict from :meth:`init_state`
-        for samplers that carry history across steps.
+        ``table`` is this sampler's :meth:`transition_table` and ``index``
+        the transition's entry in it (``t = table.steps[index]``,
+        ``t_prev = table.prev_steps[index]``, 0 terminating the trajectory).
+        ``noise`` is the transition's standard-normal draw; ``None`` gives
+        the noise-free transition.  ``state`` is the dict from
+        :meth:`init_state` for samplers that carry history across steps.
+        A step is a pure function of its arguments.
         """
         raise NotImplementedError
 
     # -- shared transition rules ---------------------------------------
-    def _ddpm_step(self, diffusion, x_t, t, eps, rng, deterministic, noise,
-                   table, index):
+    @staticmethod
+    def _ddpm_step(table, index, x_t, eps, noise):
         """Exact DDPM posterior step at ``t`` (adjacent transitions)."""
-        if table is None:
-            return diffusion.p_sample(x_t, t, eps, rng=rng,
-                                      deterministic=deterministic, noise=noise)
         mean = (x_t - table.ddpm_eps_coef[index] * eps) / table.sqrt_alpha[index]
-        if deterministic or t == 1:
-            return mean
         if noise is None:
-            rng = rng or np.random.default_rng()
-            noise = rng.standard_normal(x_t.shape)
+            return mean
         return mean + table.ddpm_sigma[index] * noise
 
-    def _jump_step(self, diffusion, x_t, t, t_prev, eps, rng, deterministic,
-                   noise, table, index):
-        """Generalised DDIM jump ``t -> t_prev`` at this sampler's ``eta``."""
-        if table is not None:
-            x0_hat = (x_t - table.sqrt_one_minus_alpha_bar[index] * eps) \
-                / table.sqrt_alpha_bar[index]
-            x_prev = table.jump_x0_coef[index] * x0_hat \
-                + table.jump_eps_coef[index] * eps
-            sigma = table.jump_sigma[index]
-        else:
-            alpha_bar = diffusion.schedule.alpha_bars[t - 1]
-            alpha_bar_prev = (diffusion.schedule.alpha_bars[t_prev - 1]
-                              if t_prev >= 1 else 1.0)
-            sigma = self.eta * np.sqrt((1.0 - alpha_bar_prev) / (1.0 - alpha_bar)) \
-                * np.sqrt(max(1.0 - alpha_bar / alpha_bar_prev, 0.0))
-            x0_hat = diffusion.predict_x0_from_eps(x_t, t, eps)
-            x_prev = np.sqrt(alpha_bar_prev) * x0_hat \
-                + np.sqrt(max(1.0 - alpha_bar_prev - sigma ** 2, 0.0)) * eps
-        if sigma > 0.0 and not deterministic and t_prev >= 1:
-            if noise is None:
-                rng = rng or np.random.default_rng()
-                noise = rng.standard_normal(x_t.shape)
-            return x_prev + sigma * noise
-        return x_prev
+    @staticmethod
+    def _jump_step(table, index, x_t, eps, noise):
+        """Generalised DDIM jump ``t -> t_prev`` at the table's ``eta``."""
+        x0_hat = (x_t - table.sqrt_one_minus_alpha_bar[index] * eps) \
+            / table.sqrt_alpha_bar[index]
+        x_prev = table.jump_x0_coef[index] * x0_hat \
+            + table.jump_eps_coef[index] * eps
+        if noise is None:
+            return x_prev
+        return x_prev + table.jump_sigma[index] * noise
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}()"
@@ -244,13 +222,12 @@ class FullReverseSampler(ReverseSampler):
     def trajectory(self, num_steps: int) -> List[int]:
         return list(range(num_steps, 0, -1))
 
-    def step(self, diffusion, x_t, t, t_prev, eps, rng=None, deterministic=False,
-             noise=None, table=None, index=None, state=None):
+    def step(self, table, index, x_t, eps, noise=None, state=None):
+        t, t_prev = table.steps[index], table.prev_steps[index]
         if t_prev != t - 1:
             raise ValueError(
                 f"FullReverseSampler only takes adjacent steps, got {t} -> {t_prev}")
-        return self._ddpm_step(diffusion, x_t, t, eps, rng, deterministic,
-                               noise, table, index)
+        return self._ddpm_step(table, index, x_t, eps, noise)
 
 
 class _SubsequenceSampler(ReverseSampler):
@@ -310,23 +287,17 @@ class StridedReverseSampler(_SubsequenceSampler):
 
     Adjacent transitions use the exact DDPM posterior step (so ``stride=1``
     degenerates to :class:`FullReverseSampler` bit for bit); longer jumps use
-    the deterministic (``eta=0``) DDIM update, which is noise-free regardless
-    of the ``deterministic`` flag.
+    the deterministic (``eta=0``) DDIM update, which never samples.
     """
 
     name = "strided"
 
-    def step(self, diffusion, x_t, t, t_prev, eps, rng=None, deterministic=False,
-             noise=None, table=None, index=None, state=None):
-        if t_prev == t - 1:
+    def step(self, table, index, x_t, eps, noise=None, state=None):
+        if table.prev_steps[index] == table.steps[index] - 1:
             # Adjacent transition: the exact DDPM step, identical to the full
             # trajectory (this is what makes stride 1 a strict no-op).
-            return self._ddpm_step(diffusion, x_t, t, eps, rng, deterministic,
-                                   noise, table, index)
-        # Non-adjacent jumps are the deterministic DDIM update: noise-free
-        # at eta = 0, so an injected draw is never consumed here.
-        return self._jump_step(diffusion, x_t, t, t_prev, eps, rng,
-                               deterministic, noise, table, index)
+            return self._ddpm_step(table, index, x_t, eps, noise)
+        return self._jump_step(table, index, x_t, eps, noise)
 
 
 class DDIMSampler(StridedReverseSampler):
@@ -391,23 +362,12 @@ class PNDMSampler(_SubsequenceSampler):
     def init_state(self) -> dict:
         return {"prev_eps": None}
 
-    def step(self, diffusion, x_t, t, t_prev, eps, rng=None, deterministic=False,
-             noise=None, table=None, index=None, state=None):
+    def step(self, table, index, x_t, eps, noise=None, state=None):
         prev_eps = state.get("prev_eps") if state is not None else None
         eps_used = eps if prev_eps is None else (3.0 * eps - prev_eps) / 2.0
         if state is not None:
             state["prev_eps"] = eps
-        if table is not None:
-            x0_hat = (x_t - table.sqrt_one_minus_alpha_bar[index] * eps_used) \
-                / table.sqrt_alpha_bar[index]
-            return table.jump_x0_coef[index] * x0_hat \
-                + table.jump_eps_coef[index] * eps_used
-        alpha_bar = diffusion.schedule.alpha_bars[t - 1]
-        alpha_bar_prev = (diffusion.schedule.alpha_bars[t_prev - 1]
-                          if t_prev >= 1 else 1.0)
-        x0_hat = (x_t - np.sqrt(1.0 - alpha_bar) * eps_used) / np.sqrt(alpha_bar)
-        return np.sqrt(alpha_bar_prev) * x0_hat \
-            + np.sqrt(1.0 - alpha_bar_prev) * eps_used
+        return self._jump_step(table, index, x_t, eps_used, noise)
 
 
 # ----------------------------------------------------------------------

@@ -25,8 +25,8 @@ The contract covers the whole sampler zoo, stochastic samplers included:
 which reverse transitions consume randomness is the sampler's
 ``samples_noise`` declaration, which ``draw`` honours through
 ``draw_impute_noise`` — an ``eta > 0`` DDIM jump's noise rides in the task's
-:class:`~repro.diffusion.ImputeNoise` payload (and shards with it) exactly
-like the adjacent-step DDPM draws.  Samplers with per-pass state (the PNDM
+:class:`~repro.diffusion.ImputeNoise` payload, drawn for exactly that
+task's windows, like the adjacent-step DDPM draws.  Samplers with per-pass state (the PNDM
 eps history) re-initialise it per ``impute`` call, i.e. per task, so
 sharding cannot leak history across chunk boundaries.
 

@@ -69,7 +69,6 @@ class OnlineEvaluation:
 def run_online_evaluation(detector, trace: ProductionTrace,
                           rescore_every: int = 16,
                           eval_buffer: int = DEFAULT_EVAL_BUFFER,
-                          incremental: Optional[bool] = None,
                           alert_policy: Optional[str] = None,
                           episode_gap: int = 2,
                           episode_min_length: int = 1) -> OnlineEvaluation:
@@ -81,9 +80,9 @@ def run_online_evaluation(detector, trace: ProductionTrace,
     ``eval_buffer`` bounds the history visible to any single scoring pass, so
     per-poll work is independent of the total stream length.
 
-    ``incremental`` selects the scoring path; by default ImDiffusion
-    detectors use the incremental tail scorer and every other detector uses
-    bounded re-scoring.
+    The detector's type selects the scoring path: ImDiffusion detectors use
+    the serving layer's incremental tail scorer; every other detector only
+    exposes ``predict()`` and is re-scored over the bounded buffer.
 
     The stream lands in one :class:`~repro.analytics.AnalyticsEngine` score
     store as it is scored, so the result carries sessionized anomaly
@@ -97,8 +96,6 @@ def run_online_evaluation(detector, trace: ProductionTrace,
     if eval_buffer < rescore_every:
         raise ValueError("eval_buffer must be at least rescore_every")
     detector.fit(trace.train)
-    if incremental is None:
-        incremental = isinstance(detector, ImDiffusionDetector)
     length = trace.test.shape[0]
     analytics = AnalyticsEngine(
         history=max(length, 1),
@@ -106,7 +103,7 @@ def run_online_evaluation(detector, trace: ProductionTrace,
         episode_gap=episode_gap,
         episode_min_length=episode_min_length,
     )
-    if incremental:
+    if isinstance(detector, ImDiffusionDetector):
         labels, scores, elapsed = _stream_incremental(
             detector, trace.test, rescore_every, eval_buffer, analytics)
     else:

@@ -2,9 +2,11 @@
 
 The contract under test mirrors the data-parallel training engine:
 
-* all randomness is drawn in the parent, in plan order, so
-  ``draw_impute_noise`` + noise-injected ``impute`` is **bit-identical** to
-  the internal-rng path (including the generator's end state),
+* all randomness is drawn in the parent, in plan order, through
+  ``draw_impute_noise``; ``impute(rng)`` and noise-injected ``impute`` are
+  both **bit-identical** to the frozen in-loop reverse process of
+  ``tests/frozen_reverse_process.py`` (including the generator's end
+  state) for every sampler,
 * :class:`SerialScoreReducer` reproduces the pre-engine inline scoring loop
   bit for bit — and so do ``detector.score()`` and ``holdout_error()``,
   which run through it — and :class:`MultiprocessScoreReducer` reproduces
@@ -31,15 +33,27 @@ from repro import ImDiffusionConfig, ImDiffusionDetector
 from repro.core.detector import ImputationLossSpec, ImputationScoreSpec
 from repro.core.modes import build_masks, recommended_stride
 from repro.data.windows import sliding_windows
-from repro.diffusion import ImputeNoise
+from repro.diffusion import (
+    DDIMSampler,
+    FullReverseSampler,
+    GaussianDiffusion,
+    ImputedDiffusion,
+    PNDMSampler,
+    StridedReverseSampler,
+    quadratic_beta_schedule,
+)
 from repro.inference import (
     MultiprocessScoreReducer,
     ScoreTask,
     SerialScoreReducer,
     WorkerPool,
 )
+from repro.masking import GratingMasking
+from repro.models import ImTransformer
 from repro.training import Batch, MultiprocessReducer, TrainState
 from repro.training.parallel import _shard_bounds
+
+from frozen_reverse_process import frozen_impute
 
 
 def _config(**overrides):
@@ -154,44 +168,73 @@ class ExplodingSpec(ImputationScoreSpec):
 # ---------------------------------------------------------------------------
 # Parent-side noise drawing: draw o impute == internal-rng impute
 # ---------------------------------------------------------------------------
+REVERSE_SAMPLERS = {
+    "full": FullReverseSampler,
+    "strided-stride3": lambda: StridedReverseSampler(stride=3),
+    "strided-karras": lambda: StridedReverseSampler(num_inference_steps=5,
+                                                    spacing="karras"),
+    "ddim-eta0": lambda: DDIMSampler(num_inference_steps=5),
+    "ddim-eta0.6": lambda: DDIMSampler(num_inference_steps=5, eta=0.6),
+    "ddim-eta1-stride1": lambda: DDIMSampler(stride=1, eta=1.0),
+    "pndm": lambda: PNDMSampler(num_inference_steps=5),
+}
+
+
+def _reverse_setup(num_steps=12):
+    model = ImTransformer(num_features=3, hidden_dim=8, num_blocks=1,
+                          num_heads=2, rng=np.random.default_rng(0))
+    imputer = ImputedDiffusion(model, GaussianDiffusion(
+        quadratic_beta_schedule(num_steps)))
+    masks = GratingMasking(2, 2).masks(16, 3)
+    windows = np.random.default_rng(1).normal(size=(3, 16, 3))
+    return (imputer, windows, np.stack([masks[0], masks[1], masks[0]]),
+            np.array([0, 1, 0]))
+
+
 class TestDrawImputeNoise:
-    def _run_both(self, fitted, deterministic=False):
-        config = fitted.config
-        imputer = fitted._imputer
-        sampler = config.build_sampler()
-        mask = build_masks(config, config.window_size, fitted.num_features)[0]
-        windows = _windows(fitted, count=3)
-        batch_masks = np.broadcast_to(mask, windows.shape)
-        policies = np.zeros(windows.shape[0], dtype=np.int64)
+    """The one draw path against the frozen in-loop reverse process.
 
-        rng_internal = np.random.default_rng(99)
-        internal = imputer.impute(windows, batch_masks, policies, rng_internal,
-                                  sampler=sampler, deterministic=deterministic)
+    ``impute(rng)`` (which draws through ``draw_impute_noise``) and
+    ``impute(noise=draw_impute_noise(rng))`` must both reproduce the frozen
+    loop that drew inside the reverse process: final output, every
+    intermediate and the generator's end state, bitwise, for every sampler.
+    """
 
-        rng_injected = np.random.default_rng(99)
-        noise = imputer.draw_impute_noise(windows, rng_injected,
-                                          sampler=sampler,
+    def _run_all(self, name, deterministic, collect):
+        imputer, windows, masks, policies = _reverse_setup()
+        knobs = dict(collect=collect, deterministic=deterministic)
+        rng_frozen = np.random.default_rng(99)
+        frozen = frozen_impute(imputer, windows, masks, policies, rng_frozen,
+                               sampler=REVERSE_SAMPLERS[name](), **knobs)
+        rng_live = np.random.default_rng(99)
+        live = imputer.impute(windows, masks, policies, rng_live,
+                              sampler=REVERSE_SAMPLERS[name](), **knobs)
+        rng_drawn = np.random.default_rng(99)
+        noise = imputer.draw_impute_noise(windows, rng_drawn,
+                                          sampler=REVERSE_SAMPLERS[name](),
                                           deterministic=deterministic)
-        injected = imputer.impute(windows, batch_masks, policies, rng=None,
-                                  sampler=sampler, deterministic=deterministic,
-                                  noise=noise)
-        return internal, injected, rng_internal, rng_injected
+        injected = imputer.impute(windows, masks, policies, rng=None,
+                                  sampler=REVERSE_SAMPLERS[name](),
+                                  noise=noise, **knobs)
+        for result in (live, injected):
+            assert np.array_equal(result.final, frozen.final)
+            assert result.steps() == frozen.steps()
+            for (_, expected), (_, actual) in zip(frozen.intermediate,
+                                                  result.intermediate):
+                assert np.array_equal(actual, expected)
+        # Drawing up front consumes the stream exactly as the loop did.
+        assert rng_live.bit_generator.state == rng_frozen.bit_generator.state
+        assert rng_drawn.bit_generator.state == rng_frozen.bit_generator.state
 
-    def test_injected_noise_is_bit_identical(self, fitted):
-        internal, injected, rng_a, rng_b = self._run_both(fitted)
-        assert np.array_equal(internal.final, injected.final)
-        for (step_a, est_a), (step_b, est_b) in zip(internal.intermediate,
-                                                    injected.intermediate):
-            assert step_a == step_b
-            assert np.array_equal(est_a, est_b)
-        # The parent-side draw consumed the stream exactly as impute would.
-        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+    @pytest.mark.parametrize("collect", ["sample", "x0"])
+    @pytest.mark.parametrize("name", list(REVERSE_SAMPLERS))
+    def test_injected_noise_is_bit_identical(self, name, collect):
+        self._run_all(name, deterministic=False, collect=collect)
 
-    def test_deterministic_trajectory_matches_too(self, fitted):
-        internal, injected, rng_a, rng_b = self._run_both(fitted,
-                                                          deterministic=True)
-        assert np.array_equal(internal.final, injected.final)
-        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+    @pytest.mark.parametrize("collect", ["sample", "x0"])
+    @pytest.mark.parametrize("name", list(REVERSE_SAMPLERS))
+    def test_deterministic_trajectory_matches_too(self, name, collect):
+        self._run_all(name, deterministic=True, collect=collect)
 
     def test_impute_requires_rng_or_noise(self, fitted):
         config = fitted.config
@@ -201,24 +244,6 @@ class TestDrawImputeNoise:
             fitted._imputer.impute(
                 windows, np.broadcast_to(mask, windows.shape),
                 np.zeros(2, dtype=np.int64), rng=None)
-
-    def test_shard_slices_every_component(self, fitted):
-        imputer = fitted._imputer
-        sampler = fitted.config.build_sampler()
-        windows = _windows(fitted, count=6)
-        noise = imputer.draw_impute_noise(windows, np.random.default_rng(3),
-                                          sampler=sampler)
-        part = noise.shard(2, 5)
-        assert isinstance(part, ImputeNoise)
-        assert part.batch_size == 3
-        assert np.array_equal(part.prior, noise.prior[2:5])
-        for full, sliced in zip(noise.reference, part.reference):
-            assert np.array_equal(sliced, full[2:5])
-        for full, sliced in zip(noise.transition, part.transition):
-            if full is None:
-                assert sliced is None
-            else:
-                assert np.array_equal(sliced, full[2:5])
 
 
 # ---------------------------------------------------------------------------

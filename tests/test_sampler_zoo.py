@@ -38,6 +38,8 @@ from repro.masking import GratingMasking
 from repro.models import ImTransformer
 from repro.training import antithetic_loss, crn_validation_rng
 
+from frozen_reverse_process import frozen_impute, frozen_step
+
 
 def _tiny_imputer(num_steps=8, seed=0):
     rng = np.random.default_rng(seed)
@@ -312,19 +314,22 @@ class TestCrossSamplerEquivalence:
         draw_rng = np.random.default_rng(21)
         noise = imputer.draw_impute_noise(windows, draw_rng, sampler=sampler)
         # eta > 0 jumps must carry a transition draw (only t == 1 is free).
-        trajectory = sampler.trajectory(imputer.diffusion.num_steps)
-        for i, t in enumerate(trajectory):
-            t_prev = trajectory[i + 1] if i + 1 < len(trajectory) else 0
-            assert (noise.transition[i] is not None) == (t_prev >= 1)
+        table = sampler.transition_table(imputer.diffusion)
+        assert [draw is not None for draw in noise.transition] \
+            == [t_prev >= 1 for t_prev in table.prev_steps]
 
-        internal_rng = np.random.default_rng(21)
-        internal = imputer.impute(windows, masks, policies, internal_rng,
-                                  sampler=sampler)
+        # The frozen loop drew the same numbers inside the reverse process.
+        frozen_rng = np.random.default_rng(21)
+        frozen = frozen_impute(imputer, windows, masks, policies, frozen_rng,
+                               sampler=sampler)
         injected = imputer.impute(windows, masks, policies, rng=None,
                                   sampler=sampler, noise=noise)
-        np.testing.assert_array_equal(injected.final, internal.final)
+        np.testing.assert_array_equal(injected.final, frozen.final)
+        for (_, expected), (_, actual) in zip(frozen.intermediate,
+                                              injected.intermediate):
+            np.testing.assert_array_equal(actual, expected)
         assert (draw_rng.bit_generator.state
-                == internal_rng.bit_generator.state)
+                == frozen_rng.bit_generator.state)
 
     def test_stochastic_ddim_actually_varies_across_seeds(self):
         imputer, windows, masks, policies = _tiny_imputer()
@@ -365,24 +370,34 @@ class TestCrossSamplerEquivalence:
         assert not np.array_equal(pndm.intermediate[1][1],
                                   ddim.intermediate[1][1])
 
-    def test_sampler_step_without_table_matches_table_path(self):
+    @pytest.mark.parametrize("deterministic", [False, True])
+    def test_sampler_step_without_table_matches_table_path(self, deterministic):
+        # The live step reads only the table; the frozen table=None rules
+        # recompute every coefficient from the schedule.  The live step is
+        # handed a draw exactly where samples_noise says the transition
+        # samples, which must reproduce the frozen rules' own noise gating.
         imputer, windows, masks, policies = _tiny_imputer()
         diffusion = imputer.diffusion
         rng = np.random.default_rng(13)
         x_t = rng.standard_normal((3, 4, 20))
         eps = rng.standard_normal((3, 4, 20))
         for sampler in (StridedReverseSampler(num_inference_steps=4),
+                        StridedReverseSampler(stride=1),
                         DDIMSampler(num_inference_steps=4, eta=0.6),
+                        DDIMSampler(stride=1, eta=1.0),
                         PNDMSampler(num_inference_steps=4),
                         FullReverseSampler()):
             table = sampler.transition_table(diffusion)
+            frozen_state, live_state = sampler.init_state(), sampler.init_state()
             for i, (t, t_prev) in enumerate(zip(table.steps, table.prev_steps)):
                 z = np.random.default_rng(100 + t).standard_normal(x_t.shape)
-                direct = sampler.step(diffusion, x_t, t, t_prev, eps,
-                                      noise=z, state=sampler.init_state())
-                tabled = sampler.step(diffusion, x_t, t, t_prev, eps,
-                                      noise=z, table=table, index=i,
-                                      state=sampler.init_state())
+                direct = frozen_step(sampler, diffusion, x_t, t, t_prev, eps,
+                                     deterministic=deterministic, noise=z,
+                                     state=frozen_state)
+                samples = sampler.samples_noise(t, t_prev, deterministic)
+                tabled = sampler.step(table, i, x_t, eps,
+                                      noise=z if samples else None,
+                                      state=live_state)
                 np.testing.assert_array_equal(tabled, direct)
 
 

@@ -6,12 +6,15 @@ loop (scalar ``t``, hard-coded ``for t in range(T, 0, -1)``, per-step
 for both the full sampler and the strided sampler at stride 1.
 """
 
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import ImDiffusionConfig, ImDiffusionDetector
+from repro.core.detector import ImputationScoreSpec
 from repro.diffusion import (
     FullReverseSampler,
     GaussianDiffusion,
@@ -154,8 +157,97 @@ class TestTrajectories:
 
     def test_full_sampler_rejects_jumps(self):
         diffusion = GaussianDiffusion(linear_beta_schedule(10))
-        with pytest.raises(ValueError):
-            FullReverseSampler().step(diffusion, np.zeros(3), 8, 4, np.zeros(3))
+        jumps = diffusion.transition_table([8, 4, 1])
+        with pytest.raises(ValueError, match="adjacent"):
+            FullReverseSampler().step(jumps, 0, np.zeros(3), np.zeros(3))
+
+
+# ---------------------------------------------------------------------------
+# A transition is a pure function of (table, index, x_t, eps, noise, state)
+# ---------------------------------------------------------------------------
+# Closed forms of Ho et al. (2020) and Song et al. (2021), written out here
+# from the schedule arrays rather than taken from the code under test.
+def _posterior_mean(schedule, t, x_t, eps):
+    beta, alpha = schedule.betas[t - 1], schedule.alphas[t - 1]
+    alpha_bar = schedule.alpha_bars[t - 1]
+    return (x_t - beta / np.sqrt(1.0 - alpha_bar) * eps) / np.sqrt(alpha)
+
+
+def _ddim_jump(schedule, t, t_prev, x_t, eps, eta=0.0):
+    alpha_bar = schedule.alpha_bars[t - 1]
+    alpha_bar_prev = schedule.alpha_bars[t_prev - 1] if t_prev >= 1 else 1.0
+    sigma = eta * np.sqrt((1.0 - alpha_bar_prev) / (1.0 - alpha_bar)) \
+        * np.sqrt(max(1.0 - alpha_bar / alpha_bar_prev, 0.0))
+    x0_hat = (x_t - np.sqrt(1.0 - alpha_bar) * eps) / np.sqrt(alpha_bar)
+    return np.sqrt(alpha_bar_prev) * x0_hat \
+        + np.sqrt(max(1.0 - alpha_bar_prev - sigma ** 2, 0.0)) * eps, sigma
+
+
+class TestPureStep:
+    def setup_method(self):
+        self.diffusion = GaussianDiffusion(quadratic_beta_schedule(12))
+        rng = np.random.default_rng(4)
+        self.x_t = rng.standard_normal((2, 3, 5))
+        self.eps = rng.standard_normal((2, 3, 5))
+        self.z = rng.standard_normal((2, 3, 5))
+
+    SAMPLERS = [FullReverseSampler(), StridedReverseSampler(stride=5),
+                make_sampler("ddim", num_inference_steps=4, eta=0.6),
+                make_sampler("pndm", num_inference_steps=4)]
+
+    @pytest.mark.parametrize("sampler", SAMPLERS, ids=lambda s: s.name)
+    def test_same_inputs_same_output(self, sampler):
+        table = sampler.transition_table(self.diffusion)
+        x_t, eps = self.x_t.copy(), self.eps.copy()
+        for i in range(len(table)):
+            for noise in (None, self.z):
+                first = sampler.step(table, i, x_t, eps, noise=noise,
+                                     state=sampler.init_state())
+                second = sampler.step(table, i, x_t, eps, noise=noise,
+                                      state=sampler.init_state())
+                np.testing.assert_array_equal(first, second)
+        # Inputs are never written to.
+        np.testing.assert_array_equal(x_t, self.x_t)
+        np.testing.assert_array_equal(eps, self.eps)
+
+    @pytest.mark.parametrize("sampler", SAMPLERS, ids=lambda s: s.name)
+    def test_step_takes_no_generator(self, sampler):
+        # Where a transition samples is samples_noise's decision alone: a
+        # step is handed its draw or none, and has no generator to draw from.
+        params = list(inspect.signature(sampler.step).parameters)
+        assert params == ["table", "index", "x_t", "eps", "noise", "state"]
+
+    def test_noise_free_adjacent_step_is_the_posterior_mean(self):
+        sampler = FullReverseSampler()
+        table = sampler.transition_table(self.diffusion)
+        schedule = self.diffusion.schedule
+        for i, t in enumerate(table.steps):
+            expected = _posterior_mean(schedule, t, self.x_t, self.eps)
+            actual = sampler.step(table, i, self.x_t, self.eps)
+            np.testing.assert_array_equal(actual, expected)
+            np.testing.assert_array_equal(
+                actual, self.diffusion.posterior_mean_from_eps(
+                    self.x_t, t, self.eps))
+            noisy = sampler.step(table, i, self.x_t, self.eps, noise=self.z)
+            np.testing.assert_array_equal(
+                noisy, expected + np.sqrt(schedule.posterior_variance(t))
+                * self.z)
+
+    @pytest.mark.parametrize("eta", [0.0, 0.6])
+    def test_noise_free_jump_is_the_ddim_update(self, eta):
+        sampler = make_sampler("ddim", num_inference_steps=4, eta=eta)
+        table = sampler.transition_table(self.diffusion)
+        schedule = self.diffusion.schedule
+        for i, (t, t_prev) in enumerate(zip(table.steps, table.prev_steps)):
+            if t_prev == t - 1:
+                continue  # adjacent: the DDPM posterior, checked above
+            expected, sigma = _ddim_jump(schedule, t, t_prev, self.x_t,
+                                         self.eps, eta)
+            np.testing.assert_array_equal(
+                sampler.step(table, i, self.x_t, self.eps), expected)
+            np.testing.assert_array_equal(
+                sampler.step(table, i, self.x_t, self.eps, noise=self.z),
+                expected + sigma * self.z)
 
 
 # ---------------------------------------------------------------------------
@@ -248,11 +340,21 @@ class TestStridedImpute:
             np.testing.assert_allclose(estimate[observed], windows[observed])
 
     def test_imputation_error_keys_follow_visited_steps(self):
-        imputer, windows, masks, policies = _tiny_imputer(num_steps=8)
-        result = imputer.impute(windows, masks, policies, np.random.default_rng(0),
-                                sampler=StridedReverseSampler(stride=4))
-        errors = imputer.imputation_error(windows, result, masks)
-        assert sorted(errors) == [1, 4, 8]
+        # The scoring kernel keys errors by visited-step progress: one entry
+        # per step the sampler visits, dense from 1 (noisiest) upward.
+        detector, series = _fitted_detector(sampler="strided",
+                                            num_inference_steps=3)
+        spec = ImputationScoreSpec(detector)
+        windows = np.stack([series[:16], series[16:32]])
+        task = spec.plan(windows.shape[0])[0]
+        payload = spec.draw(windows, task, np.random.default_rng(0))
+        errors = spec.compute(windows[task.start:task.stop], task, payload)
+        assert sorted(errors) == [1, 2, 3]
+        assert len(payload.reference) == len(spec.sampler.trajectory(8))
+        observed = np.broadcast_to(spec.masks[task.policy_index],
+                                   windows.shape).astype(bool)
+        for squared in errors.values():
+            assert np.all(squared[observed] == 0.0)
 
 
 def _fitted_detector(**overrides):
