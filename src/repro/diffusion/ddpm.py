@@ -27,6 +27,12 @@ __all__ = ["GaussianDiffusion", "TransitionTable"]
 StepLike = Union[int, np.integer, np.ndarray]
 
 
+def _require_rng(rng: Optional[np.random.Generator], caller: str) -> np.random.Generator:
+    if rng is None:
+        raise ValueError(f"{caller} needs noise or an rng to draw it from")
+    return rng
+
+
 @dataclass(frozen=True)
 class TransitionTable:
     """Per-trajectory reverse-transition coefficients, gathered once.
@@ -176,12 +182,12 @@ class GaussianDiffusion:
         Returns ``(x_t, noise)`` where ``noise`` is the standard Gaussian used
         for the corruption (the regression target of the denoiser).  With
         array-valued ``t`` of shape ``(batch,)`` each sample ``x0[i]`` is
-        corrupted to its own step ``t[i]``.
+        corrupted to its own step ``t[i]``.  One of ``noise`` or ``rng`` is
+        required: the corruption is never drawn from an unseeded generator.
         """
         self._check_step(t)
         if noise is None:
-            rng = rng or np.random.default_rng()
-            noise = rng.standard_normal(x0.shape)
+            noise = _require_rng(rng, "q_sample").standard_normal(x0.shape)
         alpha_bar = self._gather(self.schedule.alpha_bars, t, np.ndim(x0))
         x_t = np.sqrt(alpha_bar) * x0 + np.sqrt(1.0 - alpha_bar) * noise
         return x_t, noise
@@ -231,7 +237,9 @@ class GaussianDiffusion:
         With array-valued ``t`` every sample takes its own reverse step; rows
         at ``t == 1`` receive the posterior mean without added noise, exactly
         as in the scalar case.  ``noise`` optionally injects the transition's
-        standard-normal draw (shape of ``x_t``).  This is the closed-form
+        standard-normal draw (shape of ``x_t``); a stochastic step needs
+        ``noise`` or ``rng``, while deterministic and all-``t == 1`` steps
+        need neither.  This is the closed-form
         reference the table-driven :meth:`ReverseSampler.step
         <repro.diffusion.ReverseSampler.step>` is checked against; the
         reverse loop itself never calls it.
@@ -242,8 +250,7 @@ class GaussianDiffusion:
             return mean
         sigma = np.sqrt(self.schedule.posterior_variance(t))
         if noise is None:
-            rng = rng or np.random.default_rng()
-            noise = rng.standard_normal(x_t.shape)
+            noise = _require_rng(rng, "p_sample").standard_normal(x_t.shape)
         if t_arr.ndim == 0:
             return mean + sigma * noise
         keep = (t_arr > 1).astype(np.float64)

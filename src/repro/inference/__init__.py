@@ -2,15 +2,16 @@
 
 The inference-side sibling of the training package's gradient-reducer seam:
 
-* :class:`WorkerPool` — spawn-started daemon workers with idempotent,
-  atexit-guaranteed cleanup (shared with the training reducer),
+* :class:`WorkerPool` — the one worker protocol, shared with the training
+  reducer: spawn-started daemon workers, the shared-memory parameter block
+  they attach to, ``(generation, body)`` messages, dead-worker errors and
+  idempotent, atexit-guaranteed cleanup,
 * :class:`ScoreSpec` / :class:`ScoreTask` — one batched scoring call
   factored into parent-side randomness and pure worker-side kernels,
 * :class:`SerialScoreReducer` — the in-process path, bit-identical to the
   pre-engine inline scoring loop,
 * :class:`MultiprocessScoreReducer` — the same plan fanned out round-robin
-  across a persistent scoring-worker pool, with parameters shipped through
-  the zero-copy shared-memory transport of :mod:`repro.nn.shm`.
+  across a persistent scoring-worker pool.
 
 See the README's "Sharded inference" section for the determinism contract
 and guidance on when extra score workers help.
@@ -23,7 +24,7 @@ from .parallel import (
     ScoreTask,
     SerialScoreReducer,
 )
-from .pool import WorkerPool, register_cleanup, unregister_cleanup
+from .pool import WorkerPool
 
 __all__ = [
     "MultiprocessScoreReducer",
@@ -32,6 +33,4 @@ __all__ = [
     "ScoreTask",
     "SerialScoreReducer",
     "WorkerPool",
-    "register_cleanup",
-    "unregister_cleanup",
 ]

@@ -30,23 +30,22 @@ task's windows, like the adjacent-step DDPM draws.  Samplers with per-pass state
 eps history) re-initialise it per ``impute`` call, i.e. per task, so
 sharding cannot leak history across chunk boundaries.
 
-Parameters cross the process boundary through the zero-copy shared-memory
-transport of :mod:`repro.nn.shm`: workers attach once at pool start-up and
-every task message carries only the windows, the noise payload and the
-expected block generation — per-step pickling no longer scales with model
-size.
+Processes, pipes and parameters belong to :class:`~repro.inference.pool.WorkerPool`,
+the worker protocol the gradient reducer shares: the spec itself is the
+pool's worker object (``build`` once per worker, ``compute`` per task),
+parameters reach the workers through the pool's shared-memory block, and a
+task message carries only ``(chunk, task, payload)`` plus the block
+generation — per-task pickling does not scale with model size.
 """
 
 from __future__ import annotations
 
-import traceback
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
-from ..nn.shm import SharedParameterBlock, SharedParameterSpec, SharedParameterView
-from .pool import WorkerPool, register_cleanup, unregister_cleanup
+from .pool import WorkerPool
 
 __all__ = [
     "ScoreTask",
@@ -196,45 +195,6 @@ class SerialScoreReducer(ScoreReducer):
         return totals
 
 
-def _score_worker_main(conn, spec: ScoreSpec,
-                       shm_spec: SharedParameterSpec) -> None:
-    """Scoring-worker loop: receive (generation, task, chunk, payload), reply errors.
-
-    Runs in a spawned subprocess.  The spec and the shared-memory handle
-    arrive pickled through the process arguments; the worker rebuilds the
-    model once, swaps its parameters to zero-copy views of the parent's
-    block, and then serves tasks until the ``None`` sentinel.  Start-up
-    failures are remembered and re-raised per task so the parent never loses
-    pipe lockstep; per-task exceptions ship back as formatted tracebacks.
-    """
-    view: Optional[SharedParameterView] = None
-    failure: Optional[str] = None
-    try:
-        parameters = spec.build()
-        view = SharedParameterView(shm_spec)
-        view.attach_to(parameters)
-    except Exception:  # noqa: BLE001 - reported on first task
-        failure = traceback.format_exc()
-    while True:
-        try:
-            message = conn.recv()
-        except EOFError:  # parent died / closed the pipe
-            break
-        if message is None:
-            break
-        generation, task, chunk, payload = message
-        try:
-            if failure is not None:
-                raise RuntimeError(
-                    "scoring worker failed to initialise:\n" + failure)
-            view.check_generation(generation)
-            conn.send(("ok", spec.compute(chunk, task, payload)))
-        except Exception:  # noqa: BLE001 - shipped to the parent verbatim
-            conn.send(("error", traceback.format_exc()))
-    if view is not None:
-        view.close()
-
-
 class MultiprocessScoreReducer(ScoreReducer):
     """Dispatch the spec's task plan across a persistent scoring-worker pool.
 
@@ -248,8 +208,10 @@ class MultiprocessScoreReducer(ScoreReducer):
 
     The pool persists across :meth:`window_errors` calls (``open``/``close``
     or context manager), so a long-lived service pays the spawn cost once.
-    Parameters are published to a shared-memory block at :meth:`open`;
+    Parameters are published to the pool's shared block at :meth:`open`;
     :meth:`refresh_parameters` re-publishes after a parent-side weight swap.
+    A failed batch (a worker exception or a dead worker, both raised as
+    ``RuntimeError``) tears the pool down; the next call reopens it.
     """
 
     def __init__(self, spec: ScoreSpec, num_workers: int) -> None:
@@ -258,24 +220,14 @@ class MultiprocessScoreReducer(ScoreReducer):
         self.spec = spec
         self.num_workers = int(num_workers)
         self._pool: Optional[WorkerPool] = None
-        self._block: Optional[SharedParameterBlock] = None
-        self._generation = 0
 
     # ------------------------------------------------------------------
     def open(self) -> None:
-        if self._pool is not None:
-            return
-        try:
-            self._block = SharedParameterBlock(self.spec.parent_parameters())
-            self._generation = self._block.publish(self.spec.parent_parameters())
-            self._pool = WorkerPool(
-                _score_worker_main, (self.spec, self._block.spec()),
-                self.num_workers, name="score-worker")
-            self._pool.start()
-        except Exception:
-            self.close()
-            raise
-        register_cleanup(self)
+        if self._pool is None:
+            pool = WorkerPool(self.spec, self.spec.parent_parameters(),
+                              self.num_workers, name="scoring worker")
+            pool.start()
+            self._pool = pool
 
     def refresh_parameters(self) -> int:
         """Re-publish the parent parameters (after a hot weight swap).
@@ -283,31 +235,25 @@ class MultiprocessScoreReducer(ScoreReducer):
         Bumps the shared block's generation counter and returns it; workers
         pick the new weights up on their next task without restarting.
         """
-        if self._block is not None:
-            self._generation = self._block.publish(self.spec.parent_parameters())
-        return self._generation
+        if self._pool is not None:
+            self._pool.publish()
+        return self.generation
 
     @property
     def generation(self) -> int:
         """Generation of the most recently published parameter snapshot."""
-        return self._generation
+        return 0 if self._pool is None else self._pool.generation
 
     @property
     def worker_pids(self) -> List[int]:
         """PIDs of the live scoring workers (hot-swap tests assert these
         stay fixed across a weight republish)."""
-        if self._pool is None:
-            return []
-        return [process.pid for process in self._pool._processes]
+        return [] if self._pool is None else self._pool.pids
 
     def close(self) -> None:
         pool, self._pool = self._pool, None
         if pool is not None:
             pool.close()
-        block, self._block = self._block, None
-        if block is not None:
-            block.close()
-        unregister_cleanup(self)
 
     # ------------------------------------------------------------------
     def window_errors(self, windows: np.ndarray,
@@ -322,38 +268,26 @@ class MultiprocessScoreReducer(ScoreReducer):
         if handler is None:
             totals, handler = _batch_accumulator(windows.shape[0])
         tasks = self.spec.plan(windows.shape[0])
-        connections = self._pool.connections
-        outstanding: List[Optional[ScoreTask]] = [None] * len(connections)
+        pool = self._pool
+        outstanding: List[Optional[ScoreTask]] = [None] * pool.size
 
         def collect(worker: int) -> None:
             task, outstanding[worker] = outstanding[worker], None
-            try:
-                reply = connections[worker].recv()
-            except EOFError:
-                raise RuntimeError(
-                    "a scoring worker died mid-batch; the score spec is "
-                    "probably not spawn-safe (it must be picklable and "
-                    "rng-free in compute())"
-                ) from None
-            if reply[0] == "error":
-                raise RuntimeError("scoring worker failed:\n" + reply[1])
-            handler(task, reply[1])
+            handler(task, pool.gather([worker])[0])
 
         try:
             for index, task in enumerate(tasks):
-                worker = index % len(connections)
+                worker = index % pool.size
                 if outstanding[worker] is not None:
                     collect(worker)
                 payload = self.spec.draw(windows, task, rng)
-                connections[worker].send(
-                    (self._generation, task, windows[task.start:task.stop],
-                     payload))
+                pool.send(worker, (windows[task.start:task.stop], task, payload))
                 outstanding[worker] = task
             # Drain in plan order: the remaining tasks sit on consecutive
             # workers starting at the one task len(tasks)-size was sent to.
-            first = len(tasks) % len(connections)
-            for offset in range(len(connections)):
-                worker = (first + offset) % len(connections)
+            first = len(tasks) % pool.size
+            for offset in range(pool.size):
+                worker = (first + offset) % pool.size
                 if outstanding[worker] is not None:
                     collect(worker)
         except Exception:

@@ -47,7 +47,6 @@ from .serialization import (
     save_module,
     save_state_dict,
 )
-from .shm import SharedParameterBlock, SharedParameterSpec, SharedParameterView
 
 __all__ = [
     "Tensor",
@@ -94,7 +93,4 @@ __all__ = [
     "save_checkpoint",
     "load_checkpoint",
     "load_checkpoint_metadata",
-    "SharedParameterBlock",
-    "SharedParameterSpec",
-    "SharedParameterView",
 ]

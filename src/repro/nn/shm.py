@@ -2,7 +2,9 @@
 
 The data-parallel engines (gradient workers in training, scoring workers in
 the sharded inference engine) need every worker to see the parent's current
-parameters at each step.  Pickling the full parameter list into every
+parameters at each step.  Both reach this module only through
+:class:`repro.inference.pool.WorkerPool`, which owns the block, spawns the
+workers that attach to it and stamps every message with its generation.  Pickling the full parameter list into every
 worker's pipe costs ``O(parameters x workers)`` serialization *per step*;
 this module replaces that with a single OS-level shared-memory block:
 
@@ -17,9 +19,9 @@ this module replaces that with a single OS-level shared-memory block:
   every ``publish()`` bumps it, every step message carries the expected
   generation, and a worker refuses to compute against a mismatched block.
 
-Safety relies on the engines' lockstep pipe protocol — the parent only
-writes between a gather and the next scatter, so no worker is ever reading
-while the block changes.  Cleanup is deliberately conservative: the block
+Safety relies on the pool's lockstep protocol — the parent only publishes
+between a gather and the next send, so no worker is ever reading while the
+block changes.  Cleanup is deliberately conservative: the block
 owner both closes and unlinks; workers merely detach (and are excluded from
 their process-local resource tracker, which would otherwise unlink the
 segment out from under the parent on worker exit).

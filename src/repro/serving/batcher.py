@@ -100,15 +100,18 @@ class MicroBatcher:
 
         A full queue triggers a synchronous backpressure flush — the producer
         pays for the scoring pass — *before* the new window is accepted.
-        Ordinary size/age flushing happens in :meth:`maybe_flush`, which the
-        driving loop calls between submissions.
+        The window is accepted even when that flush raises, so a failed
+        scoring call loses nothing.  Ordinary size/age flushing happens in
+        :meth:`maybe_flush`, which the driving loop calls between submissions.
         """
         result = None
-        if len(self._pending) >= self.max_pending:
-            self.stats.backpressure_events += 1
-            result = self.flush(reason="backpressure")
-        self._pending.append(request)
-        self._enqueued_at.append(self.clock())
+        try:
+            if len(self._pending) >= self.max_pending:
+                self.stats.backpressure_events += 1
+                result = self.flush(reason="backpressure")
+        finally:
+            self._pending.append(request)
+            self._enqueued_at.append(self.clock())
         return result
 
     def maybe_flush(self) -> Optional[BatchResult]:
@@ -120,17 +123,21 @@ class MicroBatcher:
         return None
 
     def flush(self, reason: str = "forced") -> Optional[BatchResult]:
-        """Score every pending window in one coalesced call."""
+        """Score every pending window in one coalesced call.
+
+        The windows leave the queue only once ``score_fn`` returns: a call
+        that raises keeps them pending for the next flush, so each window is
+        merged exactly once.
+        """
         if not self._pending:
             return None
         requests = self._pending
-        self._pending = []
-        self._enqueued_at = []
-
         windows = np.stack([r.window for r in requests])
         started = self.clock()
         step_errors = self.score_fn(windows)
         seconds = max(0.0, self.clock() - started)
+        self._pending = []
+        self._enqueued_at = []
 
         self.stats.batches_flushed += 1
         self.stats.windows_scored += len(requests)

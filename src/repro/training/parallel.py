@@ -22,27 +22,26 @@ execution detail:
   count and numerically equivalent (up to float summation order) across
   worker counts.
 
-Workers are ``spawn``-started (fork-free), so everything that crosses the
-process boundary must be picklable: the :class:`ParallelLossSpec` is shipped
-once at pool start-up (module/optimizer transport is provided by
+Workers run on :class:`~repro.inference.pool.WorkerPool`, the one worker
+protocol the sharded inference engine uses too.  They are ``spawn``-started
+(fork-free), so everything that crosses the process boundary must be
+picklable: a :class:`_GradientWorker` wrapping the :class:`ParallelLossSpec`
+is shipped once at pool start-up (module/optimizer transport is provided by
 ``repro.nn``'s pickle support).  Parameters never cross the pipes at all:
-each worker attaches once to a shared-memory parameter block
-(:mod:`repro.nn.shm`) that the parent re-publishes before every step — the
-same zero-copy transport the sharded inference engine uses — so a step
-message carries only the batch shard, its random payload and the block
-generation, and per-step serialization no longer scales with model size.
+each worker attaches once to the pool's shared-memory parameter block, which
+the parent re-publishes before every step, so a step message carries only
+the batch shard, its random payload and the block generation, and per-step
+serialization does not scale with model size.
 """
 
 from __future__ import annotations
 
-import traceback
 from dataclasses import replace
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..inference.pool import WorkerPool, register_cleanup, unregister_cleanup
-from ..nn.shm import SharedParameterBlock, SharedParameterSpec, SharedParameterView
+from ..inference.pool import WorkerPool
 from .loader import Batch
 
 if TYPE_CHECKING:
@@ -302,70 +301,46 @@ def _shard_bounds(num_samples: int, num_shards: int) -> List[Tuple[int, int]]:
     return bounds
 
 
-def _worker_main(conn, spec: ParallelLossSpec,
-                 shm_spec: SharedParameterSpec) -> None:
-    """Gradient-worker loop: receive (generation, shard), reply (loss, weight, grads).
+class _GradientWorker:
+    """The pool worker of :class:`MultiprocessReducer`: one shard's gradients.
 
-    Runs in a spawned subprocess.  The spec and the shared-memory handle
-    arrive pickled through the process arguments; the worker rebuilds its
-    replica once and swaps the parameters to zero-copy views of the parent's
-    block, so resume/early-stop restores in the parent propagate through the
-    next ``publish`` without any per-step parameter transfer.  Each message
-    carries the expected block generation, one batch shard with its
-    pre-drawn random payload, and a slim :class:`TrainState`.  Start-up
-    failures are remembered and re-raised per step, and per-step exceptions
-    ship back as formatted tracebacks, so the parent can re-raise without
-    losing pipe lockstep.
+    ``build`` returns the replica's main + adversary parameters (the order of
+    the parent's shared block, so one publish refreshes both models);
+    ``compute`` runs one phase's forward/backward over a shard and returns
+    ``(loss, weight, grads)``.
     """
-    view: Optional[SharedParameterView] = None
-    failure: Optional[str] = None
-    try:
-        parameters = spec.build()
-        adversary_parameters = spec.build_adversary() if spec.has_adversary else []
-        view = SharedParameterView(shm_spec)
-        # The parent's block covers main + adversary parameters in that
-        # order; both groups become zero-copy views so each publish refreshes
-        # the whole replica at once.
-        view.attach_to(parameters + adversary_parameters)
-    except Exception:  # noqa: BLE001 - reported on first step
-        failure = traceback.format_exc()
-    while True:
-        try:
-            message = conn.recv()
-        except EOFError:  # parent died / closed the pipe
-            break
-        if message is None:
-            break
-        phase, generation, shard_arrays, shard_indices, payload, state = message
-        try:
-            if failure is not None:
-                raise RuntimeError(
-                    "gradient worker failed to initialise:\n" + failure)
-            view.check_generation(generation)
-            # Zero both groups: the main loss of a GAN backpropagates into
-            # the adversary too (through the fooling term), and those stray
-            # grads must not leak into the next adversary round.
-            for parameter in parameters + adversary_parameters:
-                parameter.grad = None
-            batch = Batch(arrays=shard_arrays, indices=shard_indices)
-            if phase == "adversary":
-                loss = spec.adversary_compute(batch, payload, state)
-                report = adversary_parameters
-            else:
-                loss = spec.compute(batch, payload, state)
-                report = parameters
-            loss.backward()
-            # None marks a parameter the loss did not touch; it must stay
-            # None through the reduction, because the optimizers skip
-            # None-grad parameters entirely (no moment decay) and the
-            # parallel run must match that serial semantic.
-            gradients = [parameter.grad for parameter in report]
-            conn.send(("ok", float(loss.data),
-                       float(spec.weight(batch, payload)), gradients))
-        except Exception:  # noqa: BLE001 - shipped to the parent verbatim
-            conn.send(("error", traceback.format_exc()))
-    if view is not None:
-        view.close()
+
+    def __init__(self, spec: ParallelLossSpec) -> None:
+        self.spec = spec
+        self._parameters: List = []
+        self._adversary: List = []
+
+    def build(self) -> List:
+        self._parameters = list(self.spec.build())
+        if self.spec.has_adversary:
+            self._adversary = list(self.spec.build_adversary())
+        return self._parameters + self._adversary
+
+    def compute(self, phase: str, arrays, indices, payload, state):
+        # Zero both groups: the main loss of a GAN backpropagates into the
+        # adversary too (through the fooling term), and those stray grads
+        # must not leak into the next adversary round.
+        for parameter in self._parameters + self._adversary:
+            parameter.grad = None
+        batch = Batch(arrays=arrays, indices=indices)
+        if phase == "adversary":
+            loss = self.spec.adversary_compute(batch, payload, state)
+            report = self._adversary
+        else:
+            loss = self.spec.compute(batch, payload, state)
+            report = self._parameters
+        loss.backward()
+        # None marks a parameter the loss did not touch; it must stay None
+        # through the reduction, because the optimizers skip None-grad
+        # parameters entirely (no moment decay) and the parallel run must
+        # match that serial semantic.
+        return (float(loss.data), float(self.spec.weight(batch, payload)),
+                [parameter.grad for parameter in report])
 
 
 class MultiprocessReducer(GradientReducer):
@@ -381,11 +356,12 @@ class MultiprocessReducer(GradientReducer):
     batch smaller than the pool simply leaves the trailing workers idle for
     that step.
 
-    ``close()`` is idempotent, runs as a context manager (inherited from
-    :class:`~repro.training.GradientReducer`) and is additionally registered
-    with the atexit cleanup registry while open, so an exception or Ctrl-C
-    mid-epoch cannot leak spawned workers or orphaned shared-memory
-    segments.
+    Processes, pipes, the shared block and atexit cleanup belong to the
+    :class:`~repro.inference.pool.WorkerPool` this reducer shares with the
+    scoring engine; ``close()`` is idempotent and runs as a context manager
+    (inherited from :class:`~repro.training.GradientReducer`), so an
+    exception or Ctrl-C mid-epoch cannot leak spawned workers or orphaned
+    shared-memory segments.  A dead worker raises ``RuntimeError``.
     """
 
     def __init__(self, spec: ParallelLossSpec, num_workers: int) -> None:
@@ -396,58 +372,40 @@ class MultiprocessReducer(GradientReducer):
         self.num_workers = int(num_workers)
         self._trainer: Optional[Trainer] = None
         self._pool: Optional[WorkerPool] = None
-        self._block: Optional[SharedParameterBlock] = None
-        self._all_parameters: List = []
 
     # ------------------------------------------------------------------
     def open(self, trainer: Trainer) -> None:
         self._trainer = trainer
-        if self._pool is not None:
-            return
-        try:
+        if self._pool is None:
             # Adversary parameters ride in the same shared block, after the
             # trainer's own, so one publish refreshes both models in every
-            # worker (the workers attach in the same concatenated order).
-            self._all_parameters = (list(trainer.parameters)
-                                    + list(self.spec.adversary_parameters()))
-            self._block = SharedParameterBlock(self._all_parameters)
-            self._pool = WorkerPool(
-                _worker_main, (self.spec, self._block.spec()),
-                self.num_workers, name="gradient-worker")
-            self._pool.start()
-        except Exception:
-            # A partial pool must never survive: reap what did spawn so a
-            # retried fit() starts from scratch instead of silently sharding
-            # batches across fewer workers than requested.
-            self.close()
-            raise
-        register_cleanup(self)
+            # worker.
+            pool = WorkerPool(
+                _GradientWorker(self.spec),
+                list(trainer.parameters) + list(self.spec.adversary_parameters()),
+                self.num_workers, name="gradient worker")
+            pool.start()
+            self._pool = pool
 
     def close(self) -> None:
         pool, self._pool = self._pool, None
         if pool is not None:
             pool.close()
-        block, self._block = self._block, None
-        if block is not None:
-            block.close()
-        unregister_cleanup(self)
 
     # ------------------------------------------------------------------
-    def _compose_step_message(self, phase: str, generation: int, batch: Batch,
+    def _compose_step_message(self, phase: str, batch: Batch,
                               payload: Tuple[np.ndarray, ...],
                               state: TrainState, start: int, stop: int):
-        """The per-step pipe message for one shard — parameter-free by design.
+        """The per-step ``compute`` body for one shard — parameter-free by design.
 
-        Everything that scales with model size travels through the
+        Everything that scales with model size travels through the pool's
         shared-memory block instead; what crosses the pipe is only the phase
-        tag (``"loss"`` or ``"adversary"``), the block generation, the
-        shard's slice of the batch and payload arrays, and a slim train
-        state (regression-tested: pickled size is independent of the
-        parameter count).
+        tag (``"loss"`` or ``"adversary"``), the shard's slice of the batch
+        and payload arrays, and a slim train state (regression-tested:
+        pickled size is independent of the parameter count).
         """
         return (
             phase,
-            generation,
             tuple(array[start:stop] for array in batch.arrays),
             batch.indices[start:stop],
             tuple(array[start:stop] for array in payload),
@@ -464,34 +422,21 @@ class MultiprocessReducer(GradientReducer):
         rounds of a GAN batch), shards the batch, and folds the replies as
         ``sum(w_i * g_i) / sum(w_i)``.  Returns the weighted batch loss.
         """
-        connections = self._pool.connections
+        pool = self._pool
         bounds = _shard_bounds(batch.size, self.num_workers)
-        generation = self._block.publish(self._all_parameters)
+        pool.publish()
         slim_state = replace(state, epoch_losses=[], val_losses=[],
                              batch_losses=[])
-        for (start, stop), conn in zip(bounds, connections):
-            conn.send(self._compose_step_message(
-                phase, generation, batch, payload, slim_state, start, stop))
-
-        replies = []
-        for _, conn in zip(bounds, connections):
-            try:
-                replies.append(conn.recv())
-            except EOFError:
-                raise RuntimeError(
-                    "a gradient worker died mid-step; the loss spec is "
-                    "probably not spawn-safe (it must be picklable and "
-                    "rng-free in compute())"
-                ) from None
-        errors = [reply[1] for reply in replies if reply[0] == "error"]
-        if errors:
-            raise RuntimeError("gradient worker failed:\n" + "\n".join(errors))
+        for index, (start, stop) in enumerate(bounds):
+            pool.send(index, self._compose_step_message(
+                phase, batch, payload, slim_state, start, stop))
+        replies = pool.gather(range(len(bounds)))
 
         if len(replies) == 1:
             # Single shard (batch smaller than the pool): the worker's output
             # IS the batch output — no averaging, bitwise identical to a
             # one-worker step.
-            _, loss_value, _, gradients = replies[0]
+            loss_value, _, gradients = replies[0]
             for parameter, gradient in zip(targets, gradients):
                 parameter.grad = gradient
             return loss_value
@@ -499,7 +444,7 @@ class MultiprocessReducer(GradientReducer):
         total_weight = 0.0
         total_loss = 0.0
         totals: List[Optional[np.ndarray]] = [None] * len(targets)
-        for _, loss_value, weight, gradients in replies:
+        for loss_value, weight, gradients in replies:
             total_weight += weight
             total_loss += weight * loss_value
             for index, gradient in enumerate(gradients):
@@ -518,12 +463,8 @@ class MultiprocessReducer(GradientReducer):
 
     def accumulate(self, batch: Batch, state: TrainState) -> float:
         trainer = self._trainer
-        if self._pool is None or self._pool.size != self.num_workers:
-            raise RuntimeError(
-                f"worker pool holds {0 if self._pool is None else self._pool.size} "
-                f"connections but {self.num_workers} were requested; call "
-                "open() first"
-            )
+        if self._pool is None:  # a pool starts whole or not at all
+            raise RuntimeError("MultiprocessReducer needs open() first")
         payload = self.spec.draw(batch, trainer.rng, state)
         if self.spec.has_adversary:
             # Round 1 — discriminator: sharded gradients of the adversary

@@ -146,3 +146,49 @@ class TestValidation:
             MicroBatcher(scorer, flush_size=4, max_pending=2)
         with pytest.raises(ValueError):
             MicroBatcher(scorer, flush_age=0.0)
+
+
+class FailOnce(RecordingScorer):
+    """Stub score_fn whose first call raises, like a flush hitting a dead
+    scoring worker."""
+
+    def __call__(self, windows):
+        if not self.batches:
+            self.batches.append(None)
+            raise RuntimeError("a scoring worker died mid-call")
+        return super().__call__(windows)
+
+
+class TestFailedFlush:
+    def _batcher(self, merged, **kwargs):
+        return MicroBatcher(
+            FailOnce(), flush_age=60.0,
+            on_result=lambda request, errors: merged.append(request.start),
+            **kwargs)
+
+    def test_failed_flush_keeps_its_windows_for_the_next(self):
+        merged = []
+        batcher = self._batcher(merged, flush_size=2)
+        batcher.submit(make_request(start=0))
+        batcher.submit(make_request(start=4))
+        with pytest.raises(RuntimeError, match="died"):
+            batcher.maybe_flush()
+        assert batcher.queue_depth == 2
+        assert batcher.stats.windows_scored == 0
+        batcher.submit(make_request(start=8))
+        result = batcher.maybe_flush()
+        assert result.num_windows == 3
+        assert merged == [0, 4, 8]  # each window merged exactly once
+        assert batcher.queue_depth == 0
+
+    def test_failed_backpressure_flush_still_accepts_the_window(self):
+        merged = []
+        batcher = self._batcher(merged, flush_size=2, max_pending=2)
+        batcher.submit(make_request(start=0))
+        batcher.submit(make_request(start=4))
+        with pytest.raises(RuntimeError, match="died"):
+            batcher.submit(make_request(start=8))
+        assert batcher.queue_depth == 3
+        batcher.flush()
+        assert merged == [0, 4, 8]
+        assert batcher.queue_depth == 0

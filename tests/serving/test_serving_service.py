@@ -125,6 +125,28 @@ class TestDetectorService:
         service.drain()
         assert service.tenant_view("a").end == 10 * WINDOW
 
+    def test_killed_scoring_worker_loses_no_window(self, detector,
+                                                   kill_and_reap):
+        """A worker SIGKILLed between flushes fails one flush; its windows
+        stay queued and are scored, exactly once, by the next flush."""
+        series = make_series(10 * WINDOW, seed=9)
+        with DetectorService(detector, ServingConfig(
+                flush_size=4, flush_age=1e9, history=512,
+                score_workers=2)) as service:
+            service.ingest("a", series[:4 * WINDOW])
+            assert service.scorer.scored_until("a") == 4 * WINDOW
+            kill_and_reap(service.scorer.worker_pids[0])
+            with pytest.raises(RuntimeError, match="scoring worker died"):
+                service.ingest("a", series[4 * WINDOW:8 * WINDOW])
+            assert service.batcher.queue_depth == 4
+            service.ingest("a", series[8 * WINDOW:])
+            assert service.batcher.queue_depth == 0
+            assert service.scorer.scored_until("a") == 10 * WINDOW
+            assert service.batcher.stats.windows_scored == 10
+            view = service.tenant_view("a")
+            assert (view.start, view.end) == (0, 10 * WINDOW)
+            assert np.all(view.scores > 0)
+
     def test_pump_flushes_by_age(self, detector):
         clock = [0.0]
         service = DetectorService(

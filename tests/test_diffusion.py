@@ -97,6 +97,16 @@ class TestGaussianDiffusion:
         b = self.diffusion.p_sample(x_t, 10, eps, rng=np.random.default_rng(2), deterministic=True)
         np.testing.assert_allclose(a, b)
 
+    def test_unseeded_draws_are_refused(self):
+        x = self.rng.normal(size=(2, 3))
+        eps = self.rng.normal(size=(2, 3))
+        with pytest.raises(ValueError, match="q_sample needs noise or an rng"):
+            self.diffusion.q_sample(x, 10)
+        with pytest.raises(ValueError, match="p_sample needs noise or an rng"):
+            self.diffusion.p_sample(x, 10, eps)
+        with pytest.raises(ValueError, match="p_sample needs noise or an rng"):
+            self.diffusion.p_sample(x, np.array([1, 10]), eps)
+
     def test_invalid_step_raises(self):
         with pytest.raises(ValueError):
             self.diffusion.q_sample(np.zeros(3), 0)

@@ -402,6 +402,24 @@ class TestMultiprocessScoreReducer:
         assert totals
         reducer.close()
 
+    @pytest.mark.parametrize("victim", [0, 1])
+    def test_killed_worker_raises_then_the_pool_self_heals(
+            self, fitted, victim, kill_and_reap):
+        windows = _windows(fitted, count=7)
+        reducer = MultiprocessScoreReducer(ImputationScoreSpec(fitted), 2)
+        with reducer:
+            reducer.open()
+            kill_and_reap(reducer.worker_pids[victim])
+            with pytest.raises(RuntimeError, match="scoring worker died"):
+                reducer.window_errors(windows, np.random.default_rng(0))
+            assert reducer.worker_pids == []  # torn down, nothing in flight
+            pooled = reducer.window_errors(windows, np.random.default_rng(23))
+        serial = SerialScoreReducer(ImputationScoreSpec(fitted)).window_errors(
+            windows, np.random.default_rng(23))
+        assert set(serial) == set(pooled)
+        for progress in serial:
+            assert np.array_equal(serial[progress], pooled[progress])
+
     def test_worker_failure_raises_and_tears_the_pool_down(self, fitted):
         reducer = MultiprocessScoreReducer(ExplodingSpec(fitted), 1)
         with reducer:
@@ -449,9 +467,9 @@ class TestSharedMemoryTransport:
         batch = Batch(arrays=(windows,), indices=np.arange(8))
         payload = spec.draw(batch, np.random.default_rng(1), TrainState())
         start, stop = _shard_bounds(batch.size, 2)[0]
-        message = reducer._compose_step_message(
-            "loss", 7, batch, payload, TrainState(), start, stop)
-        return len(pickle.dumps(message)), detector
+        body = reducer._compose_step_message(
+            "loss", batch, payload, TrainState(), start, stop)
+        return len(pickle.dumps((7, body))), detector
 
     def test_gradient_step_bytes_independent_of_parameter_count(self):
         small_bytes, small_det = self._step_message_bytes(8, 1)
@@ -469,7 +487,7 @@ class TestSharedMemoryTransport:
             windows = _windows(detector, count=4)
             task = ScoreTask(policy_index=0, start=0, stop=4)
             payload = spec.draw(windows, task, np.random.default_rng(2))
-            return len(pickle.dumps((7, task, windows[0:4], payload)))
+            return len(pickle.dumps((7, (windows[0:4], task, payload))))
 
         rng = np.random.default_rng(0)
         large = ImDiffusionDetector(
@@ -484,10 +502,10 @@ class TestSharedMemoryTransport:
 class TestWorkerPool:
     def test_rejects_zero_workers(self):
         with pytest.raises(ValueError, match="at least 1"):
-            WorkerPool(lambda conn: None, (), 0)
+            WorkerPool(object(), [], 0)
 
     def test_close_before_start_and_double_close(self):
-        pool = WorkerPool(lambda conn: None, (), 2)
+        pool = WorkerPool(object(), [], 2)
         pool.close()
         assert not pool.is_open
         pool.close()

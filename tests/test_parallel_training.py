@@ -15,6 +15,7 @@ The determinism contract under test:
 
 from __future__ import annotations
 
+import multiprocessing
 import pickle
 
 import numpy as np
@@ -30,6 +31,7 @@ from repro.nn import Adam, Linear, SGD, Tensor
 from repro.nn import functional as F
 from repro.training import (
     Batch,
+    Callback,
     Checkpoint,
     MethodLossSpec,
     MultiprocessReducer,
@@ -416,6 +418,30 @@ class TestTransport:
 # The reducer seam
 # ---------------------------------------------------------------------------
 class TestReducerSeam:
+    def test_killed_worker_raises_and_leaves_no_child(self, kill_and_reap):
+        _, imputer, masks_arr, windows = _imputation_stack()
+        spec = ImputationLossSpec(imputer, masks_arr)
+        params = imputer.model.parameters()
+
+        pids = []
+
+        class KillAfterFirstBatch(Callback):
+            def on_batch_end(self, trainer, state):
+                if state.step == 1:
+                    pids.extend(trainer.reducer._pool.pids)
+                    kill_and_reap(pids[1])
+
+        trainer = Trainer(params, Adam(params, lr=1e-3), spec, num_workers=2,
+                          callbacks=[KillAfterFirstBatch()],
+                          rng=np.random.default_rng(0))
+        with pytest.raises(RuntimeError, match="gradient worker died"):
+            trainer.fit(WindowLoader(windows, batch_size=8,
+                                     rng=trainer.rng), epochs=1)
+        assert trainer.reducer._pool is None
+        assert len(pids) == 2
+        assert not any(child.pid in pids
+                       for child in multiprocessing.active_children())
+
     def test_worker_error_propagates_with_traceback(self):
         _, imputer, masks_arr, windows = _imputation_stack()
         spec = ImputationLossSpec(imputer, np.ones_like(masks_arr))  # no masked region

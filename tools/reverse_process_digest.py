@@ -13,7 +13,13 @@ Covered:
 * ``ImputedDiffusion.training_loss(rng)`` and its generator end state;
 * detector ``fit`` (train and validation curves), ``predict`` (scores and
   labels) and ``holdout_error`` on the default sampler, DDIM eta 0.5, a
-  held-out validation split, and that split with antithetic validation.
+  held-out validation split, and that split with antithetic validation;
+* the worker pools: ImDiffusion ``fit``/``predict`` at
+  ``(num_workers, score_workers)`` in ``{(2, 2), (2, 1), (1, 2)}``, and the
+  MAD-GAN (adversary round), BeatGAN and LSTM-AD baselines at
+  ``num_workers=2`` — losses, parameters, scores, labels and the
+  generator's end state.  These spawn worker processes, hence the
+  ``__main__`` guard.
 
 Usage: ``PYTHONPATH=src python tools/reverse_process_digest.py``
 """
@@ -26,6 +32,7 @@ import json
 import numpy as np
 
 from repro import ImDiffusionConfig, ImDiffusionDetector
+from repro.baselines import BeatGANDetector, LSTMADDetector, MADGANDetector
 from repro.diffusion import (
     DDIMSampler,
     FullReverseSampler,
@@ -114,19 +121,27 @@ DETECTOR_CONFIGS = {
 }
 
 
-def detector_digests():
+def _detector_series():
     rng = np.random.default_rng(0)
     series = (np.sin(np.linspace(0, 12 * np.pi, 240))[:, None]
               * np.ones((1, 3)) + 0.05 * rng.standard_normal((240, 3)))
     test = series.copy()
     test[100:110] += 3.0
+    return series, test
+
+
+def _detector_config(**overrides):
+    return ImDiffusionConfig(
+        window_size=16, num_steps=8, epochs=2, hidden_dim=8,
+        num_blocks=1, num_heads=2, max_train_windows=16,
+        num_masked_windows=2, num_unmasked_windows=2, batch_size=8,
+        seed=0, **overrides)
+
+
+def detector_digests():
+    series, test = _detector_series()
     for name, overrides in DETECTOR_CONFIGS.items():
-        config = ImDiffusionConfig(
-            window_size=16, num_steps=8, epochs=2, hidden_dim=8,
-            num_blocks=1, num_heads=2, max_train_windows=16,
-            num_masked_windows=2, num_unmasked_windows=2, batch_size=8,
-            seed=0, **overrides)
-        detector = ImDiffusionDetector(config).fit(series)
+        detector = ImDiffusionDetector(_detector_config(**overrides)).fit(series)
         prediction = detector.predict(test)
         holdout = detector.holdout_error(series, seed=4)
         yield (f"detector {name}", _digest(
@@ -135,9 +150,49 @@ def detector_digests():
             holdout, _rng_state(detector._rng)))
 
 
+WORKER_COUNTS = ((2, 2), (2, 1), (1, 2))  # (num_workers, score_workers)
+
+BASELINES = {
+    "mad-gan": lambda: MADGANDetector(
+        window_size=16, latent_dim=4, hidden_size=8, epochs=2, batch_size=8,
+        max_train_windows=24, seed=0, num_workers=2),
+    "beatgan": lambda: BeatGANDetector(
+        window_size=16, latent_dim=4, hidden_dim=8, epochs=2, batch_size=8,
+        max_train_windows=24, seed=0, num_workers=2),
+    "lstm-ad": lambda: LSTMADDetector(
+        history=8, hidden_size=8, epochs=2, max_train_samples=48, seed=0,
+        num_workers=2),
+}
+
+
+def multiprocess_digests():
+    series, test = _detector_series()
+    for num_workers, score_workers in WORKER_COUNTS:
+        detector = ImDiffusionDetector(
+            _detector_config(num_workers=num_workers)).fit(series)
+        prediction = detector.predict(test, score_workers=score_workers)
+        yield (f"detector num_workers={num_workers} "
+               f"score_workers={score_workers}", _digest(
+                   detector.train_losses, detector.val_losses,
+                   *[p.data for p in detector.model.parameters()],
+                   np.asarray(prediction.scores), np.asarray(prediction.labels),
+                   _rng_state(detector._rng)))
+    for name, factory in BASELINES.items():
+        detector = factory().fit(series)
+        result = detector.predict(test)
+        parameters = list(detector._trainer_parameters())
+        if hasattr(detector, "_adversary_parameters"):
+            parameters += list(detector._adversary_parameters())
+        yield (f"baseline {name} num_workers=2", _digest(
+            detector.train_losses, *[p.data for p in parameters],
+            np.asarray(result.scores), np.asarray(result.labels),
+            _rng_state(detector.rng)))
+
+
 def main() -> None:
     overall = hashlib.sha256()
-    for source in (impute_digests, training_loss_digests, detector_digests):
+    for source in (impute_digests, training_loss_digests, detector_digests,
+                   multiprocess_digests):
         for label, digest in source():
             print(f"{digest}  {label}")
             overall.update(digest.encode())
